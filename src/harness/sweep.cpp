@@ -68,10 +68,7 @@ WorldVerdict RunSweepWorld(const SweepOptions& opts, uint64_t seed) {
   checker.AttachPeriodic();
 
   Router router;
-  Router::Entry entry;
-  entry.members = members;
-  entry.range = KeyRange::Full();
-  router.SetClusters({entry});
+  router.SetClusters({Router::Entry{members, KeyRange::Full()}});
 
   ClientOptions copts;
   copts.key_space = opts.key_space;

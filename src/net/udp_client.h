@@ -2,27 +2,22 @@
 // real-process deployment mode. One KvClient = one client identity: its
 // own UDP socket (bound ephemerally; servers learn the reply address from
 // the first datagram), its own kv session (client_id/seq dedup, so retried
-// writes apply exactly once), and a blocking Do() that drives a private
-// poll loop until the reply arrives or the deadline passes.
+// writes apply exactly once), and a blocking Do() that submits one op to a
+// client::Session — the routing/retry/reply-matching state machine the
+// simulator's fleet runs too — and pumps the socket and timers (PollOnce)
+// until the op completes or the deadline passes. The session routes through
+// a one-entry Router listing the phonebook: it follows leader hints, and
+// rotates to another node when a 250 ms round goes unanswered.
 //
-// Leader routing: Do() remembers which node last answered as leader,
-// follows kNotLeader leader hints, and rotates through the phonebook on
-// per-attempt timeouts — the retry loop every Raft client ends up writing.
-//
-// recraft-cli and bench/net_loopback both sit on this; load generators run
-// one KvClient per logical client (each is single-threaded and
-// self-contained, so a thread per client composes safely).
-//
+// recraft-cli sits on this, one KvClient (and thread) per load client.
 // Lives under the src/net/udp_ determinism-gate exemption (sockets, real
 // clock) like the transport it wraps.
 #pragma once
 
-#include <cstdint>
-#include <memory>
-#include <string>
-#include <vector>
+#include <optional>
 
-#include "common/metrics.h"
+#include "client/router.h"
+#include "client/session.h"
 #include "common/status.h"
 #include "kv/service.h"
 #include "net/phonebook.h"
@@ -33,21 +28,11 @@ namespace recraft::net {
 
 class KvClient {
  public:
-  struct Options {
-    /// Per-attempt reply wait before rotating to another node.
-    Duration attempt_timeout = 250 * kMillisecond;
-    ReliableLink::Options link;
-  };
-
   /// `client_id` must not collide with any server id in `book` (servers
   /// key reliable links by peer id). `book` lists the cluster to talk to.
-  KvClient(NodeId client_id, Phonebook book, Options opts);
-  KvClient(NodeId client_id, Phonebook book);  // default Options
+  KvClient(NodeId client_id, Phonebook book);
 
-  /// Socket state; a failed bind makes every Do() return it.
-  const Status& status() const { return transport_->status(); }
-
-  /// Execute one op. Writes get this session's client_id/seq stamped
+  /// Execute one op (a failed socket bind fails every op). Writes get this session's client_id/seq stamped
   /// (unless the caller pre-set them) and are retried — across leader
   /// changes — until acked or `timeout` elapses; the dedup session makes
   /// the retries exactly-once. Reads retry the same way but carry no
@@ -55,26 +40,20 @@ class KvClient {
   kv::Response Do(kv::Command cmd, Duration timeout = 5 * kSecond);
 
   /// The node that served the last successful op (kNoNode before any).
-  NodeId last_leader() const { return leader_; }
-
-  NodeId id() const { return self_; }
-  MetricRegistry& metrics() { return metrics_; }
+  NodeId last_leader() const { return router_.clusters().front().leader_hint; }
 
  private:
-  void Pump(int timeout_ms);
+  /// No reply to any transmission of the op for this long: drop the leader
+  /// hint and resend to the next node.
+  static constexpr Duration kRoundTimeout = 250 * kMillisecond;
 
   NodeId self_;
-  Phonebook book_;
-  std::vector<NodeId> targets_;
-  Options opts_;
-  MetricRegistry metrics_;
-  SystemClock clock_;
-  std::unique_ptr<UdpTransport> transport_;
-
-  uint64_t next_req_ = 0;
   uint64_t next_seq_ = 0;
-  NodeId leader_ = kNoNode;
-  std::map<uint64_t, raft::ClientReply> replies_;
+  std::optional<raft::ClientReply> reply_;  // the submitted op's, once done
+  SystemClock clock_;
+  UdpTransport transport_;
+  client::Router router_;
+  client::Session session_;  // last: binds transport_, routes via router_
 };
 
 }  // namespace recraft::net

@@ -60,14 +60,4 @@ TimePoint SystemClock::NextDeadline() const {
   return heap_.empty() ? 0 : heap_.top().deadline;
 }
 
-int SystemClock::PollTimeoutMs(int max_ms) const {
-  TimePoint dl = NextDeadline();
-  if (dl == 0 && pending() == 0) return -1;
-  TimePoint now = Now();
-  if (dl <= now) return 0;
-  uint64_t ms = (dl - now + 999) / 1000;
-  if (ms > static_cast<uint64_t>(max_ms)) return max_ms;
-  return static_cast<int>(ms);
-}
-
 }  // namespace recraft::net

@@ -1,10 +1,8 @@
 // net::SystemClock — the real-time implementation of the net::Clock seam
 // used by recraftd. Now() reads CLOCK_MONOTONIC (microseconds since process
 // start, so TimePoint stays small and log-friendly like sim time); timers
-// sit in a min-heap that the daemon's poll loop drains explicitly:
-//
-//   poll(fds, n, clock.PollTimeoutMs());
-//   clock.RunDue();
+// sit in a min-heap that the owner's poll loop (net::PollOnce, shared by
+// recraftd and KvClient) drains explicitly with RunDue().
 //
 // Nothing fires from signal handlers or background threads — exactly the
 // asynchrony contract net::Clock documents (CallAfter never runs fn
@@ -42,11 +40,6 @@ class SystemClock final : public Clock {
 
   /// Earliest pending deadline, or 0 when no timers are armed.
   TimePoint NextDeadline() const;
-
-  /// NextDeadline() as a poll(2) timeout: -1 for "no timers", otherwise
-  /// milliseconds until the earliest deadline, rounded up, clamped to
-  /// [0, max_ms].
-  int PollTimeoutMs(int max_ms = 1000) const;
 
   size_t pending() const { return fns_.size(); }
 

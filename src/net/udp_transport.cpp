@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netdb.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -12,6 +13,7 @@
 
 #include "common/codec.h"
 #include "common/logging.h"
+#include "net/udp_clock.h"
 #include "net/wire.h"
 
 namespace recraft::net {
@@ -314,6 +316,26 @@ void UdpTransport::SyncCounters() {
     c.Add(ids_.messages_skipped, now.messages_skipped - old.messages_skipped);
     old = now;
   }
+}
+
+void PollOnce(UdpTransport& transport, SystemClock& clock, int max_ms) {
+  int timeout_ms = max_ms;
+  TimePoint now = clock.Now();
+  for (TimePoint due : {clock.NextDeadline(), transport.NextDeadline()}) {
+    if (due == 0) continue;  // nothing armed
+    uint64_t ms = due <= now ? 0 : (due - now + 999) / 1000;
+    if (ms < static_cast<uint64_t>(timeout_ms)) {
+      timeout_ms = static_cast<int>(ms);
+    }
+  }
+  pollfd p{};
+  p.fd = transport.fd();
+  p.events = POLLIN;
+  poll(&p, 1, timeout_ms);
+  if ((p.revents & POLLIN) != 0) transport.OnReadable();
+  transport.OnTimer();
+  // Top of the loop: timers fire here and only here.
+  clock.RunDue();
 }
 
 }  // namespace recraft::net

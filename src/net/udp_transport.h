@@ -42,6 +42,8 @@
 
 namespace recraft::net {
 
+class SystemClock;
+
 class UdpTransport final : public Transport {
  public:
   struct Options {
@@ -148,5 +150,12 @@ class UdpTransport final : public Transport {
   SendShim shim_;
   CounterIds ids_;
 };
+
+/// One turn of a single-socket event loop, shared by recraftd and KvClient:
+/// poll(2) until the socket is readable, the next `clock` timer or link
+/// retransmission is due, or `max_ms` passes (millisecond resolution,
+/// rounded up); then drain the socket, retransmit, and fire due timers —
+/// in that order, so timers never run from inside a receive callback.
+void PollOnce(UdpTransport& transport, SystemClock& clock, int max_ms);
 
 }  // namespace recraft::net

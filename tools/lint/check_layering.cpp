@@ -1,14 +1,15 @@
 // recraft-layering — keeps the deployable core below the test scaffolding.
 // The real-process deployment mode links core::Node, the raft protocol, the
-// state machines and the storage/net layers into recraftd with no simulator
-// in the binary; that only stays true if nothing in those layers includes a
-// sim/ or harness/ header. The dependency arrow must point one way:
-// src/sim and src/harness wrap the core (SimTransport, SimClock, SimDisk
-// are adapters *over* core seams), never the reverse.
+// state machines, the storage/net layers and the client session into
+// recraftd and recraft-cli with no simulator in the binary; that only stays
+// true if nothing in those layers includes a sim/ or harness/ header. The
+// dependency arrow must point one way: src/sim and src/harness wrap the
+// core (SimTransport, SimClock, SimDisk are adapters *over* core seams),
+// never the reverse.
 //
 // src/shard is deliberately out of scope: the placement/rebalancer plane is
 // orchestration that drives harness worlds, sitting beside the harness, not
-// below it.
+// below it. (Its ShardMap includes only src/common; src/client caches it.)
 #include <array>
 #include <string>
 #include <vector>
@@ -20,7 +21,8 @@ namespace {
 
 // Layers that must stay simulator-free (virtual-path scoped).
 const std::vector<std::string> kLayeredDirs = {
-    "src/core", "src/raft", "src/sm", "src/kv", "src/storage", "src/net",
+    "src/core", "src/raft",    "src/sm",     "src/kv",
+    "src/storage", "src/net", "src/client",
 };
 
 // Include-path prefixes that may never appear below the line.

@@ -1,5 +1,5 @@
 // RECRAFT-TIDY-PATH: src/core/fixture_layering_positive.cc
-// The deployable core (src/{core,raft,sm,kv,storage,net}) links into
+// The deployable core (src/{core,raft,sm,kv,storage,net,client}) links into
 // recraftd with no simulator in the binary; a sim/ or harness/ include
 // below the line inverts the adapter relationship and drags the test
 // scaffolding into production links.

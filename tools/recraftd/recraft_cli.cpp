@@ -42,6 +42,7 @@
 #include "kv/service.h"
 #include "net/phonebook.h"
 #include "net/udp_client.h"
+#include "net/udp_clock.h"
 
 namespace {
 
@@ -74,6 +75,7 @@ void RunLoadClient(NodeId client_id, const net::Phonebook& book,
                    std::ofstream* history, std::mutex* history_mu,
                    LoadStats* out) {
   net::KvClient client(client_id, book);
+  net::SystemClock clock;
   std::mt19937_64 rng(client_id * 0x9e3779b97f4a7c15ull + 1);
   std::map<std::string, std::string> model;  // this client's keys only
   uint64_t next_seq = 0;  // stamped here, not in Do(): history needs it
@@ -114,20 +116,9 @@ void RunLoadClient(NodeId client_id, const net::Phonebook& book,
     // an op that might have been applied. 10 minutes of retries covers any
     // leader kill + re-election the smoke test throws at us.
     Duration timeout = kv::IsReadOnly(cmd.op) ? 5 * kSecond : 600 * kSecond;
-    TimePoint t0 = 0;
-    {
-      timespec ts{};
-      clock_gettime(CLOCK_MONOTONIC, &ts);
-      t0 = uint64_t(ts.tv_sec) * 1'000'000ull + uint64_t(ts.tv_nsec) / 1000;
-    }
+    TimePoint t0 = clock.Now();
     kv::Response r = client.Do(cmd, timeout);
-    {
-      timespec ts{};
-      clock_gettime(CLOCK_MONOTONIC, &ts);
-      TimePoint t1 =
-          uint64_t(ts.tv_sec) * 1'000'000ull + uint64_t(ts.tv_nsec) / 1000;
-      out->latency.Record(t1 - t0);
-    }
+    out->latency.Record(clock.Now() - t0);
 
     switch (cmd.op) {
       case kv::OpType::kGet:
@@ -208,9 +199,7 @@ int RunLoad(const net::Phonebook& book, uint64_t clients, uint64_t ops,
   std::vector<LoadStats> stats(clients);
   std::vector<std::thread> threads;
 
-  timespec ts{};
-  clock_gettime(CLOCK_MONOTONIC, &ts);
-  uint64_t t0 = uint64_t(ts.tv_sec) * 1'000'000ull + uint64_t(ts.tv_nsec) / 1000;
+  net::SystemClock clock;
 
   for (uint64_t i = 0; i < clients; ++i) {
     NodeId cid = static_cast<NodeId>(1000 + i);
@@ -221,8 +210,6 @@ int RunLoad(const net::Phonebook& book, uint64_t clients, uint64_t ops,
   }
   for (auto& t : threads) t.join();
 
-  clock_gettime(CLOCK_MONOTONIC, &ts);
-  uint64_t t1 = uint64_t(ts.tv_sec) * 1'000'000ull + uint64_t(ts.tv_nsec) / 1000;
 
   LoadStats total;
   for (const auto& s : stats) {
@@ -231,7 +218,7 @@ int RunLoad(const net::Phonebook& book, uint64_t clients, uint64_t ops,
     total.errors += s.errors;
     total.latency.Merge(s.latency);
   }
-  double secs = double(t1 - t0) / 1e6;
+  double secs = double(clock.Now()) / 1e6;
   std::printf(
       "load: ops=%llu secs=%.2f ops_per_sec=%.0f p50_us=%llu p99_us=%llu "
       "cas_conflicts=%llu errors=%llu\n",
@@ -388,52 +375,41 @@ int main(int argc, char** argv) {
 
   net::KvClient client(static_cast<recraft::NodeId>(client_id), *book);
   kv::Command c;
-  kv::Response r;
-
   if (cmd == "put" && rest.size() == 3) {
     c.op = kv::OpType::kPut;
     c.key = rest[1];
     c.value = rest[2];
-    r = client.Do(c);
   } else if (cmd == "get" && rest.size() == 2) {
     c.op = kv::OpType::kGet;
     c.key = rest[1];
-    r = client.Do(c);
   } else if (cmd == "del" && rest.size() == 2) {
     c.op = kv::OpType::kDelete;
     c.key = rest[1];
-    r = client.Do(c);
   } else if (cmd == "cas" && rest.size() == 4) {
     c.op = kv::OpType::kCas;
     c.key = rest[1];
     c.expected = rest[2];
     c.value = rest[3];
-    r = client.Do(c);
   } else if (cmd == "scan" && rest.size() == 3) {
     c.op = kv::OpType::kScan;
     c.key = rest[1];
     c.scan_hi = rest[2];
-    r = client.Do(c);
   } else if (cmd == "leader" && rest.size() == 1) {
-    c.op = kv::OpType::kGet;
+    c.op = kv::OpType::kGet;  // any answered read names the leader
     c.key = "\x01__leader_probe";
-    r = client.Do(c);
-    if (r.status.ok() || r.status.code() == Code::kNotFound) {
-      std::printf("%u\n", client.last_leader());
-      return 0;
-    }
-    std::fprintf(stderr, "leader: %s\n", r.status.message().c_str());
-    return 1;
   } else {
     return Usage(argv[0]);
   }
 
+  kv::Response r = client.Do(c);
   if (!r.status.ok() && r.status.code() != Code::kNotFound) {
     std::fprintf(stderr, "%s: %s\n", cmd.c_str(),
                  r.status.message().c_str());
     return 1;
   }
-  if (cmd == "get") {
+  if (cmd == "leader") {
+    std::printf("%u\n", client.last_leader());
+  } else if (cmd == "get") {
     if (r.status.code() == Code::kNotFound) {
       std::fprintf(stderr, "(not found)\n");
       return 1;

@@ -19,12 +19,10 @@
 // uid). Crash = die: there is no graceful state handoff, kill -9 is the
 // supported shutdown, and recovery is the WAL's job — that is the point.
 //
-// Event loop: poll(2) on the transport socket with a timeout from the
-// timer heap / retransmission deadlines; timers (ticks, WAL group-commit
-// flushes — and thus the node's durability callback) fire from the top of
-// the loop, never from inside a mutation, matching the asynchrony contract
-// the simulator enforces.
-#include <poll.h>
+// Event loop: net::PollOnce (shared with KvClient); timers (ticks, WAL
+// group-commit flushes — and thus the node's durability callback) fire from
+// the top of the loop, never from inside a mutation, matching the
+// asynchrony contract the simulator enforces.
 #include <signal.h>
 #include <unistd.h>
 
@@ -237,27 +235,7 @@ int main(int argc, char** argv) {
   RLOG_INFO("recraftd", "n%u serving on port %u (pid %d)", id,
             transport.bound_port(), getpid());
 
-  while (g_stop == 0) {
-    int timeout_ms = clock.PollTimeoutMs(/*max_ms=*/100);
-    if (timeout_ms < 0) timeout_ms = 100;
-    TimePoint rto = transport.NextDeadline();
-    if (rto != 0) {
-      TimePoint now = clock.Now();
-      uint64_t ms = rto <= now ? 0 : (rto - now + 999) / 1000;
-      if (ms < static_cast<uint64_t>(timeout_ms)) {
-        timeout_ms = static_cast<int>(ms);
-      }
-    }
-    pollfd p{};
-    p.fd = transport.fd();
-    p.events = POLLIN;
-    poll(&p, 1, timeout_ms);
-    if ((p.revents & POLLIN) != 0) transport.OnReadable();
-    transport.OnTimer();
-    // Top of the loop: ticks, WAL flush completions (and through them the
-    // node's durability callback) fire here and only here.
-    clock.RunDue();
-  }
+  while (g_stop == 0) net::PollOnce(transport, clock, /*max_ms=*/100);
 
   // Graceful-ish exit for SIGTERM/SIGINT: make pending WAL bytes durable so
   // a polite shutdown never loses acked work. SIGKILL skips this, and the
