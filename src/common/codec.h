@@ -28,6 +28,12 @@ class Encoder {
     PutRaw(b.data(), b.size());
   }
 
+  /// Overwrite four bytes already written at `pos` (back-patching a header
+  /// reserved before its body was encoded).
+  void PatchU32(size_t pos, uint32_t v) {
+    std::memcpy(buf_.data() + pos, &v, sizeof(v));
+  }
+
   const std::vector<uint8_t>& buffer() const { return buf_; }
   std::vector<uint8_t> Take() { return std::move(buf_); }
   size_t size() const { return buf_.size(); }

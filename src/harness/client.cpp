@@ -7,7 +7,7 @@
 namespace recraft::harness {
 
 namespace {
-/// zeta(n, theta) = sum_{i=1..n} 1/i^theta — computed once per client.
+/// zeta(n, theta) = sum_{i=1..n} 1/i^theta — computed once per fleet.
 double Zetan(uint64_t n, double theta) {
   double z = 0.0;
   for (uint64_t i = 1; i <= n; ++i) {
@@ -17,12 +17,25 @@ double Zetan(uint64_t n, double theta) {
 }
 }  // namespace
 
+ZipfConstants ZipfConstants::For(uint64_t key_space, double theta) {
+  ZipfConstants z;
+  if (theta <= 0.0) return z;
+  const double n = static_cast<double>(key_space);
+  z.zetan = Zetan(key_space, theta);
+  const double zeta2 = Zetan(2, theta);
+  z.alpha = 1.0 / (1.0 - theta);
+  z.eta = (1.0 - std::pow(2.0 / n, 1.0 - theta)) / (1.0 - zeta2 / z.zetan);
+  return z;
+}
+
 ClosedLoopClient::ClosedLoopClient(World& world, Router& router, NodeId id,
-                                   ClientOptions opts)
+                                   ClientOptions opts,
+                                   const ZipfConstants& zipf)
     : world_(world),
       id_(id),
       opts_(opts),
       rng_(Mix64(0xc11e47, id)),
+      zipf_(zipf),
       session_(id, world.transport(), world.clock(), router,
                client::SessionOptions{opts.retry_timeout, opts.reads_via_log,
                                       opts.recorder},
@@ -30,17 +43,6 @@ ClosedLoopClient::ClosedLoopClient(World& world, Router& router, NodeId id,
                       const raft::ClientReply&) { OnDone(op); },
                [&world] { return world.NextReqId(); }) {
   if (opts_.batch_size == 0) opts_.batch_size = 1;
-  if (opts_.zipf_theta > 0.0) {
-    // Gray et al., "Quickly generating billion-record synthetic databases":
-    // one uniform draw per key, deterministic given the client RNG.
-    const double theta = opts_.zipf_theta;
-    const double n = static_cast<double>(opts_.key_space);
-    zipf_zetan_ = Zetan(opts_.key_space, theta);
-    const double zeta2 = Zetan(2, theta);
-    zipf_alpha_ = 1.0 / (1.0 - theta);
-    zipf_eta_ = (1.0 - std::pow(2.0 / n, 1.0 - theta)) /
-                (1.0 - zeta2 / zipf_zetan_);
-  }
 }
 
 uint64_t ClosedLoopClient::NextKey() {
@@ -48,8 +50,9 @@ uint64_t ClosedLoopClient::NextKey() {
   if (opts_.zipf_theta <= 0.0) {
     rank = rng_.Uniform(0, opts_.key_space - 1);
   } else {
+    // One uniform draw per key, deterministic given the client RNG.
     const double u = rng_.NextDouble();
-    const double uz = u * zipf_zetan_;
+    const double uz = u * zipf_.zetan;
     if (uz < 1.0) {
       rank = 0;
     } else if (uz < 1.0 + std::pow(0.5, opts_.zipf_theta)) {
@@ -57,7 +60,7 @@ uint64_t ClosedLoopClient::NextKey() {
     } else {
       const double n = static_cast<double>(opts_.key_space);
       auto k = static_cast<uint64_t>(
-          n * std::pow(zipf_eta_ * u - zipf_eta_ + 1.0, zipf_alpha_));
+          n * std::pow(zipf_.eta * u - zipf_.eta + 1.0, zipf_.alpha));
       rank = std::min<uint64_t>(k, opts_.key_space - 1);
     }
   }
@@ -119,9 +122,11 @@ void ClosedLoopClient::OnDone(const client::Session::Op& op) {
 ClientFleet::ClientFleet(World& world, Router& router, size_t n,
                          ClientOptions opts) {
   opts.throughput = &throughput_;
+  const ZipfConstants zipf =
+      ZipfConstants::For(opts.key_space, opts.zipf_theta);
   for (size_t i = 0; i < n; ++i) {
     clients_.push_back(std::make_unique<ClosedLoopClient>(
-        world, router, static_cast<NodeId>(kFirstClientId + i), opts));
+        world, router, static_cast<NodeId>(kFirstClientId + i), opts, zipf));
   }
 }
 

@@ -64,11 +64,25 @@ struct ClientOptions {
   obs::Recorder* recorder = nullptr;
 };
 
+/// Zipfian generator constants (Gray et al., "Quickly generating
+/// billion-record synthetic databases") for one key space and theta. They
+/// cost key_space pow() calls, so a fleet computes them once and every
+/// client keeps its own copy. All zero when theta <= 0 (uniform keys).
+struct ZipfConstants {
+  double zetan = 0.0;
+  double eta = 0.0;
+  double alpha = 0.0;
+
+  static ZipfConstants For(uint64_t key_space, double theta);
+};
+
 /// A closed-loop client: draws one round of requests, hands it to its
 /// session, and draws the next round once the session completed them all.
 class ClosedLoopClient {
  public:
-  ClosedLoopClient(World& world, Router& router, NodeId id, ClientOptions opts);
+  /// `zipf` must be ZipfConstants::For(opts.key_space, opts.zipf_theta).
+  ClosedLoopClient(World& world, Router& router, NodeId id, ClientOptions opts,
+                   const ZipfConstants& zipf);
 
   void Start() {
     running_ = true;
@@ -98,10 +112,7 @@ class ClosedLoopClient {
   bool running_ = false;
 
   uint64_t next_seq_ = 1;
-  // Zipfian generator state (Gray et al.), precomputed when zipf_theta > 0.
-  double zipf_zetan_ = 0.0;
-  double zipf_eta_ = 0.0;
-  double zipf_alpha_ = 0.0;
+  const ZipfConstants zipf_;
 
   uint64_t ops_done_ = 0;
   uint64_t reads_done_ = 0;

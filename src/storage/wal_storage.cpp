@@ -45,21 +45,26 @@ std::string WalStorage::SealFile(TxId tx, int source) {
 
 size_t WalStorage::wal_file_bytes() const { return wal_len_; }
 
-std::vector<uint8_t> WalStorage::FrameRecord(const Encoder& payload) {
-  const auto& body = payload.buffer();
-  Encoder frame;
-  frame.PutU32(static_cast<uint32_t>(body.size()));
-  frame.PutU32(Crc32(body));
-  std::vector<uint8_t> out = frame.Take();
-  out.insert(out.end(), body.begin(), body.end());
-  return out;
+size_t WalStorage::BeginRecord(Encoder& enc, RecordType type) {
+  const size_t start = enc.size();
+  enc.PutU32(0);  // len, patched by FinishRecord
+  enc.PutU32(0);  // crc, patched by FinishRecord
+  enc.PutU8(type);
+  return start;
 }
 
-void WalStorage::AppendRecord(const Encoder& payload, bool force_sync) {
-  std::vector<uint8_t> frame = FrameRecord(payload);
+void WalStorage::FinishRecord(Encoder& enc, size_t start) {
+  const size_t payload_at = start + kRecordHeaderBytes;
+  const size_t n = enc.size() - payload_at;
+  enc.PatchU32(start, static_cast<uint32_t>(n));
+  enc.PatchU32(start + 4, Crc32(enc.buffer().data() + payload_at, n));
+}
+
+void WalStorage::AppendRecord(Encoder& record, bool force_sync) {
+  FinishRecord(record, 0);
   pending_record_offsets_.push_back(wal_len_);
-  wal_len_ += frame.size();
-  disk_->Append(kWalFile, frame);
+  wal_len_ += record.size();
+  disk_->Append(kWalFile, record.buffer());
   ++stats_.records;
   ++pending_records_;
   if (force_sync || opts_.flush_interval == 0) {
@@ -139,7 +144,7 @@ Index WalStorage::DurableIndex() const {
 void WalStorage::OnLogAppend(const raft::EntryRef& e) {
   assert(e->index == model_.last_index() + 1);
   Encoder enc;
-  enc.PutU8(kRecAppend);
+  BeginRecord(enc, kRecAppend);
   EncodeLogEntry(enc, *e);
   model_.entries.PushShared(e);  // mirror by slab reference, no deep copy
   ++stats_.entry_records;
@@ -148,7 +153,7 @@ void WalStorage::OnLogAppend(const raft::EntryRef& e) {
 
 void WalStorage::OnLogTruncateFrom(Index i) {
   Encoder enc;
-  enc.PutU8(kRecTruncateFrom);
+  BeginRecord(enc, kRecTruncateFrom);
   enc.PutU64(i);
   while (!model_.entries.empty() && model_.entries.back().index >= i) {
     model_.entries.PopBack();
@@ -159,7 +164,7 @@ void WalStorage::OnLogTruncateFrom(Index i) {
 
 void WalStorage::OnLogCompactTo(Index i, uint64_t term) {
   Encoder enc;
-  enc.PutU8(kRecCompactTo);
+  BeginRecord(enc, kRecCompactTo);
   enc.PutU64(i);
   enc.PutU64(term);
   while (!model_.entries.empty() && model_.entries.front().index <= i) {
@@ -176,7 +181,7 @@ void WalStorage::OnLogCompactTo(Index i, uint64_t term) {
 
 void WalStorage::OnLogReset(Index base, uint64_t term) {
   Encoder enc;
-  enc.PutU8(kRecReset);
+  BeginRecord(enc, kRecReset);
   enc.PutU64(base);
   enc.PutU64(term);
   model_.entries.Clear();
@@ -196,7 +201,7 @@ void WalStorage::PersistHardState(const HardState& hs) {
               hs.voted_for != model_.hard.voted_for;
   model_.hard = hs;
   Encoder enc;
-  enc.PutU8(kRecHardState);
+  BeginRecord(enc, kRecHardState);
   enc.PutU64(hs.term);
   enc.PutU32(hs.voted_for);
   enc.PutU64(hs.commit);
@@ -217,7 +222,7 @@ void WalStorage::InstallSnapshot(const raft::RaftSnapshotPtr& snap) {
   model_.snap_index = snap->last_index;
   model_.snap_term = snap->last_term;
   Encoder enc;
-  enc.PutU8(kRecSnapInstalled);
+  BeginRecord(enc, kRecSnapInstalled);
   enc.PutU32(gen);
   enc.PutU64(snap->last_index);
   enc.PutU64(snap->last_term);
@@ -271,42 +276,34 @@ void WalStorage::WipeAll() {
 
 std::vector<uint8_t> WalStorage::EncodeCheckpoint() const {
   // A compact, replayable equivalent of the live model: snapshot marker,
-  // base reset, every live entry, final hard state.
-  std::vector<uint8_t> out;
-  auto put = [&out](const Encoder& payload) {
-    std::vector<uint8_t> frame = FrameRecord(payload);
-    out.insert(out.end(), frame.begin(), frame.end());
-  };
+  // base reset, every live entry, final hard state — framed in one buffer.
+  Encoder enc;
   if (model_.snap_gen > 0) {
-    Encoder enc;
-    enc.PutU8(kRecSnapInstalled);
+    const size_t at = BeginRecord(enc, kRecSnapInstalled);
     enc.PutU32(model_.snap_gen);
     enc.PutU64(model_.snap_index);
     enc.PutU64(model_.snap_term);
-    put(enc);
+    FinishRecord(enc, at);
   }
   {
-    Encoder enc;
-    enc.PutU8(kRecReset);
+    const size_t at = BeginRecord(enc, kRecReset);
     enc.PutU64(model_.base_index);
     enc.PutU64(model_.base_term);
-    put(enc);
+    FinishRecord(enc, at);
   }
   for (size_t i = 0; i < model_.entries.size(); ++i) {
-    Encoder enc;
-    enc.PutU8(kRecAppend);
+    const size_t at = BeginRecord(enc, kRecAppend);
     EncodeLogEntry(enc, model_.entries.At(i));
-    put(enc);
+    FinishRecord(enc, at);
   }
   {
-    Encoder enc;
-    enc.PutU8(kRecHardState);
+    const size_t at = BeginRecord(enc, kRecHardState);
     enc.PutU64(model_.hard.term);
     enc.PutU32(model_.hard.voted_for);
     enc.PutU64(model_.hard.commit);
-    put(enc);
+    FinishRecord(enc, at);
   }
-  return out;
+  return enc.Take();
 }
 
 void WalStorage::MaybeRewriteWal() {

@@ -18,9 +18,10 @@
 // arm a flush timer on the net::Clock (flush_interval); when it fires, one
 // fsync makes every batched record durable and the node is poked
 // through the durable callback (acks and commit-quorum votes are gated on
-// DurableIndex, see storage.h). flush_interval == 0 degenerates to a
-// synchronous flush per mutation batch. Term/vote changes and every blob
-// write flush synchronously regardless — a node must never forget a vote.
+// DurableIndex, see storage.h). flush_interval == 0 disables batching:
+// every record is written and fsynced on its own, inside the mutation that
+// appended it. Term/vote changes and every blob write flush synchronously
+// regardless — a node must never forget a vote.
 //
 // The WAL file is checkpoint-rewritten (atomically) when compaction has
 // left more dead bytes than live state, so it cannot grow without bound.
@@ -42,7 +43,8 @@ namespace recraft::storage {
 class WalStorage final : public Storage {
  public:
   struct Options {
-    /// Group-commit window. 0 = flush synchronously inside every mutation.
+    /// Group-commit window. 0 = no batching: one write plus one fsync per
+    /// record, inside the mutation that appended it.
     Duration flush_interval = 0;
     /// Rewrite the WAL once its file is this much larger than the live
     /// state it encodes (dead records from compacted/overwritten history).
@@ -134,8 +136,15 @@ class WalStorage final : public Storage {
   static std::string SnapFile(uint32_t gen);
   static std::string SealFile(TxId tx, int source);
 
-  static std::vector<uint8_t> FrameRecord(const Encoder& payload);
-  void AppendRecord(const Encoder& payload, bool force_sync);
+  /// Starts a record at the end of `enc`: reserves the [len][crc] header
+  /// and writes the type byte; the caller encodes the body after it.
+  /// Returns the record's start offset for FinishRecord.
+  static size_t BeginRecord(Encoder& enc, RecordType type);
+  /// Patches len and crc of the record starting at `start` in place, so a
+  /// record is framed in the buffer it was encoded into — no second copy.
+  static void FinishRecord(Encoder& enc, size_t start);
+  /// Frames `record` (one BeginRecord'ed record at offset 0) and appends it.
+  void AppendRecord(Encoder& record, bool force_sync);
   void ArmFlush();
   /// Flush-timer body: honors the disk's injected fsync stall (re-poll
   /// until it clears) and latency spike (defer this batch once), so gray
@@ -159,7 +168,6 @@ class WalStorage final : public Storage {
   std::vector<size_t> pending_record_offsets_;
   size_t wal_len_ = 0;  // durable + pending bytes
   size_t last_snap_record_off_ = 0;
-  size_t live_bytes_estimate_ = 0;
   net::TimerId flush_event_ = net::kNoTimer;
   bool flush_deferred_ = false;  // latency spike applied to this batch
   obs::Recorder* recorder_ = nullptr;
