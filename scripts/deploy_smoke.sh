@@ -63,6 +63,16 @@ leader() {
   "$CLI" --hosts "$HOSTS" leader 2>/dev/null
 }
 
+# Host-wide count of UDP datagrams dropped because a socket's receive buffer
+# was full (/proc/net/snmp, "Udp: ... RcvbufErrors"); empty if unreadable.
+udp_rcvbuf_errors() {
+  awk '$1 == "Udp:" {
+         if (!col) { for (i = 2; i <= NF; i++) if ($i == "RcvbufErrors") col = i }
+         else { print $col; exit }
+       }' /proc/net/snmp 2>/dev/null
+}
+RCVBUF_ERRORS_BEFORE=$(udp_rcvbuf_errors)
+
 echo "deploy_smoke: workdir $WORK, ports $((BASE_PORT + 1))-$((BASE_PORT + 3))"
 for i in 1 2 3; do
   start_node "$i" --cluster 1,2,3
@@ -114,6 +124,12 @@ kill_and_restart_leader
 wait "$LOAD_PID"
 LOAD_RC=$?
 cat "$WORK/load.out"
+RCVBUF_ERRORS_AFTER=$(udp_rcvbuf_errors)
+if [ -n "$RCVBUF_ERRORS_BEFORE" ] && [ -n "$RCVBUF_ERRORS_AFTER" ]; then
+  echo "deploy_smoke: host Udp RcvbufErrors +$((RCVBUF_ERRORS_AFTER - RCVBUF_ERRORS_BEFORE)) during the load (all sockets on the host)"
+else
+  echo "deploy_smoke: host Udp RcvbufErrors unavailable"
+fi
 [ "$LOAD_RC" -eq 0 ] || fail "load exited $LOAD_RC (lost or double-applied writes?)"
 
 # Every node must still be alive (the killed ones via their restarts).

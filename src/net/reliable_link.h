@@ -23,6 +23,13 @@
 //     long-lived sender whose peer rebooted mid-stream). A synced receiver
 //     uses base advances to jump gaps the sender abandoned.
 //
+// The window stays loss-free only if the receiving socket can hold every
+// peer's window at once (their DATA plus the ACKs for our own window) while
+// its owner is busy elsewhere. A datagram the kernel drops for want of
+// buffer space is a loss like any other: it waits out an RTO, and in-order
+// delivery holds every later message on the link behind it. UdpTransport
+// sizes its socket for this (UdpTransport::kRcvBufTarget).
+//
 // Messages larger than max_payload fragment into consecutive chunks (the
 // more-fragments flag); in-order delivery makes reassembly a concatenation.
 // The first-fragment flag marks message starts, so a receiver joining

@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <fcntl.h>
+#include <linux/sock_diag.h>
 #include <netdb.h>
 #include <poll.h>
 #include <sys/socket.h>
@@ -56,6 +57,19 @@ bool SameAddr(const sockaddr_in& a, const sockaddr_in& b) {
   return a.sin_addr.s_addr == b.sin_addr.s_addr && a.sin_port == b.sin_port;
 }
 
+// Requests UdpTransport::kRcvBufTarget, past net.core.rmem_max when the
+// process may (CAP_NET_ADMIN), and returns what the kernel granted.
+int SizeReceiveBuffer(int fd) {
+  int want = UdpTransport::kRcvBufTarget;
+  if (setsockopt(fd, SOL_SOCKET, SO_RCVBUFFORCE, &want, sizeof(want)) != 0) {
+    setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &want, sizeof(want));
+  }
+  int got = 0;
+  socklen_t len = sizeof(got);
+  if (getsockopt(fd, SOL_SOCKET, SO_RCVBUF, &got, &len) != 0) return 0;
+  return got;
+}
+
 }  // namespace
 
 UdpTransport::UdpTransport(NodeId self, Phonebook book, Clock* clock,
@@ -84,6 +98,7 @@ UdpTransport::UdpTransport(NodeId self, Phonebook book, Clock* clock,
     ids_.garbage_dropped = c.Intern("net.garbage_dropped");
     ids_.unknown_peer_dropped = c.Intern("net.unknown_peer_dropped");
     ids_.send_errors = c.Intern("net.send_errors");
+    ids_.rx_overflow_drops = c.Intern("net.rx_overflow_drops");
   }
 
   // Daemons bind at their phonebook endpoint; ids with no entry (clients)
@@ -106,6 +121,7 @@ UdpTransport::UdpTransport(NodeId self, Phonebook book, Clock* clock,
     status_ = Internal(StrFormat("socket: %s", strerror(errno)));
     return;
   }
+  rcvbuf_bytes_ = SizeReceiveBuffer(fd_);
   // No SO_REUSEADDR: on UDP it permits a second daemon to double-bind the
   // port and silently split the datagram stream with a stale incarnation.
   // A loud bind failure is the correct outcome.
@@ -265,6 +281,7 @@ void UdpTransport::OnReadable() {
         [this, peer](const std::vector<uint8_t>& d) { Transmit(peer, d); },
         [this, peer](std::vector<uint8_t> m) { Deliver(peer, std::move(m)); });
   }
+  SyncKernelDrops();
   SyncCounters();
 }
 
@@ -316,6 +333,23 @@ void UdpTransport::SyncCounters() {
     c.Add(ids_.messages_skipped, now.messages_skipped - old.messages_skipped);
     old = now;
   }
+}
+
+// The socket's exact drop count. Not the SO_RXQ_OVFL cmsg: the kernel
+// stamps it only on datagrams that arrive after a drop, so it misses the
+// drops at the tail of a burst.
+void UdpTransport::SyncKernelDrops() {
+  if (metrics_ == nullptr) return;
+  uint32_t mem[SK_MEMINFO_VARS] = {};
+  socklen_t len = sizeof(mem);
+  if (getsockopt(fd_, SOL_SOCKET, SO_MEMINFO, mem, &len) != 0 ||
+      len <= SK_MEMINFO_DROPS * sizeof(uint32_t)) {
+    return;
+  }
+  // The kernel's counter is 32 bits; unsigned subtraction survives a wrap.
+  uint32_t drops = mem[SK_MEMINFO_DROPS];
+  metrics_->counters().Add(ids_.rx_overflow_drops, drops - kernel_drops_);
+  kernel_drops_ = drops;
 }
 
 void PollOnce(UdpTransport& transport, SystemClock& clock, int max_ms) {

@@ -19,7 +19,9 @@
 // Send — the same no-synchronous-delivery contract the simulator provides.
 //
 // Per-link counters (send/recv/retransmit/dedup/...) are folded into the
-// MetricRegistry after every socket interaction, under pre-interned ids.
+// MetricRegistry after every socket interaction, under pre-interned ids,
+// together with the kernel's count of datagrams it dropped because the
+// socket's receive buffer was full (net.rx_overflow_drops).
 //
 // This file is under the src/net/udp_ determinism-gate exemption: syscalls,
 // wall clocks and kernel buffering make it inherently nondeterministic;
@@ -49,6 +51,22 @@ class UdpTransport final : public Transport {
   struct Options {
     ReliableLink::Options link;
   };
+
+  /// Receive buffer each socket requests, so that it holds its peers'
+  /// in-flight link windows while the owner is busy elsewhere (a leader
+  /// drains its socket behind inline WAL fdatasyncs); a datagram the
+  /// kernel drops costs its link a retransmission timeout. The kernel
+  /// charges a queued datagram its skb truesize, not its length: on
+  /// loopback a full ~1.2 KiB DATA frame (1,200 B payload + 30 B header)
+  /// costs 2,304 B and a 29 B ACK 832 B. One peer's full 64-chunk window
+  /// plus the ACKs for our window toward it is 64 x (2,304 + 832) B
+  /// ~= 196 KiB, so the kernel's 208 KiB default holds one peer — and a
+  /// leader has its followers plus one link per client session. The
+  /// kernel doubles the request to cover the skb overhead, so 4 MiB grants
+  /// 8 MiB: ~40 full peer windows, which leaves room for a drain that
+  /// stalls for tens of milliseconds. Tried with SO_RCVBUFFORCE, then with
+  /// SO_RCVBUF (which net.core.rmem_max clamps).
+  static constexpr int kRcvBufTarget = 4 << 20;
 
   /// Binds a UDP socket at `book`'s entry for `self`, or ephemerally when
   /// `self` has no entry (clients: servers learn the reply address from
@@ -93,9 +111,13 @@ class UdpTransport final : public Transport {
   uint64_t session() const { return session_; }
   /// Link state toward `peer` (nullptr before any traffic). Test-facing.
   const ReliableLink* link(NodeId peer) const;
-  /// Local bound port (useful when the phonebook said port 0... it cannot;
-  /// useful for logging).
+  /// Local port the socket is bound to: the ephemeral one for clients and
+  /// tests, the phonebook's for daemons (useful for logging).
   uint16_t bound_port() const { return bound_port_; }
+  /// Receive buffer the kernel granted, as getsockopt(SO_RCVBUF) reports
+  /// it (already doubled): 2 x kRcvBufTarget when the request was honoured
+  /// in full, 0 when the socket could not be opened.
+  int rcvbuf_bytes() const { return rcvbuf_bytes_; }
 
  private:
   struct Peer {
@@ -125,6 +147,7 @@ class UdpTransport final : public Transport {
     CounterSet::Id garbage_dropped = 0;
     CounterSet::Id unknown_peer_dropped = 0;
     CounterSet::Id send_errors = 0;
+    CounterSet::Id rx_overflow_drops = 0;
   };
 
   Peer* GetPeer(NodeId id, const sockaddr_in* learned);
@@ -132,6 +155,7 @@ class UdpTransport final : public Transport {
   void RawSend(NodeId to, const std::vector<uint8_t>& datagram);
   void Deliver(NodeId from, std::vector<uint8_t> message);
   void SyncCounters();
+  void SyncKernelDrops();
 
   NodeId self_;
   Phonebook book_;
@@ -142,6 +166,8 @@ class UdpTransport final : public Transport {
 
   int fd_ = -1;
   uint16_t bound_port_ = 0;
+  int rcvbuf_bytes_ = 0;
+  uint32_t kernel_drops_ = 0;  // SK_MEMINFO_DROPS at the last read
   Status status_ = OkStatus();
 
   NodeId bound_id_ = kNoNode;

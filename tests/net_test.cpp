@@ -3,10 +3,15 @@
 // where the simulator passed pointers), the ReliableLink pure protocol
 // engine under scripted loss/reorder/duplication, and UdpTransport over a
 // real loopback socket pair with a fault-injecting send shim.
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <deque>
+#include <fstream>
 #include <random>
 #include <string>
 #include <vector>
@@ -836,6 +841,68 @@ TEST_F(UdpTransportTest, LossyShimStillDeliversInOrder) {
   const net::ReliableLink* l1 = t1_->link(2);
   ASSERT_NE(l1, nullptr);
   EXPECT_GT(l1->counters().retransmits, 0u);
+}
+
+TEST_F(UdpTransportTest, ReceiveBufferHoldsLinkWindows) {
+  net::Phonebook book = *net::Phonebook::Parse("9 127.0.0.1:1\n");
+  net::UdpTransport t(1, book, &clock_, nullptr);
+  ASSERT_TRUE(t.status().ok()) << t.status().message();
+
+  // Without CAP_NET_ADMIN the request falls back to SO_RCVBUF, which the
+  // kernel clamps at net.core.rmem_max before doubling.
+  int probe = socket(AF_INET, SOCK_DGRAM, 0);
+  ASSERT_GE(probe, 0);
+  int want = net::UdpTransport::kRcvBufTarget;
+  bool forced =
+      setsockopt(probe, SOL_SOCKET, SO_RCVBUFFORCE, &want, sizeof(want)) == 0;
+  close(probe);
+  if (forced) {
+    EXPECT_GE(t.rcvbuf_bytes(), 2 * net::UdpTransport::kRcvBufTarget);
+  } else {
+    std::ifstream in("/proc/sys/net/core/rmem_max");
+    int rmem_max = 0;
+    ASSERT_TRUE(in >> rmem_max);
+    EXPECT_GE(t.rcvbuf_bytes(),
+              2 * std::min(rmem_max, net::UdpTransport::kRcvBufTarget));
+  }
+}
+
+TEST_F(UdpTransportTest, KernelOverflowDropsAreCounted) {
+  net::Phonebook book = *net::Phonebook::Parse("9 127.0.0.1:1\n");
+  MetricRegistry metrics;
+  net::UdpTransport t(1, book, &clock_, &metrics);
+  ASSERT_TRUE(t.status().ok()) << t.status().message();
+
+  // Far more than any receive buffer holds, sent while nobody reads. The
+  // payload is not a link frame, so every datagram that reaches the
+  // transport counts as garbage and every other one as a kernel drop.
+  const uint64_t kSent = 20000;
+  int raw = socket(AF_INET, SOCK_DGRAM, 0);
+  ASSERT_GE(raw, 0);
+  sockaddr_in dst{};
+  dst.sin_family = AF_INET;
+  dst.sin_port = htons(t.bound_port());
+  dst.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  std::vector<uint8_t> junk(1400, 0);
+  for (uint64_t i = 0; i < kSent; ++i) {
+    ASSERT_EQ(sendto(raw, junk.data(), junk.size(), 0,
+                     reinterpret_cast<const sockaddr*>(&dst), sizeof(dst)),
+              static_cast<ssize_t>(junk.size()));
+  }
+  close(raw);
+
+  // Loopback delivery can trail sendto by a softirq; drain until every
+  // datagram is accounted for or the budget runs out.
+  const CounterSet& c = metrics.counters();
+  auto accounted = [&c] {
+    return c.Get("net.garbage_dropped") + c.Get("net.rx_overflow_drops");
+  };
+  for (int spent = 0; spent < 2000 && accounted() < kSent; ++spent) {
+    t.OnReadable();
+    usleep(1000);
+  }
+  EXPECT_EQ(accounted(), kSent);
+  EXPECT_GT(c.Get("net.rx_overflow_drops"), 0u);
 }
 
 }  // namespace

@@ -165,6 +165,19 @@ int main(int argc, char** argv) {
                  transport.status().message().c_str());
     return 1;
   }
+  // A short buffer drops datagrams whenever a drain stalls (see
+  // UdpTransport::kRcvBufTarget); each drop costs its link a full RTO.
+  if (transport.rcvbuf_bytes() < 2 * net::UdpTransport::kRcvBufTarget) {
+    RLOG_WARN("recraftd",
+              "n%u UDP receive buffer is %d B, below the %d B target; "
+              "raise net.core.rmem_max to %d (or grant CAP_NET_ADMIN)",
+              id, transport.rcvbuf_bytes(),
+              2 * net::UdpTransport::kRcvBufTarget,
+              net::UdpTransport::kRcvBufTarget);
+  } else {
+    RLOG_INFO("recraftd", "n%u UDP receive buffer %d B", id,
+              transport.rcvbuf_bytes());
+  }
 
   auto disk = std::make_shared<storage::FileDisk>(data_dir);
   storage::WalStorage storage(disk, &clock);
@@ -235,7 +248,24 @@ int main(int argc, char** argv) {
   RLOG_INFO("recraftd", "n%u serving on port %u (pid %d)", id,
             transport.bound_port(), getpid());
 
-  while (g_stop == 0) net::PollOnce(transport, clock, /*max_ms=*/100);
+  // Said once, at the first drop: the benchmark and deploy_smoke stop
+  // daemons with SIGKILL, so a summary at exit would never be seen.
+  const CounterSet::Id overflow_drops =
+      metrics.counters().Intern("net.rx_overflow_drops");
+  bool overflow_warned = false;
+  while (g_stop == 0) {
+    net::PollOnce(transport, clock, /*max_ms=*/100);
+    if (!overflow_warned && metrics.counters().Get(overflow_drops) != 0) {
+      overflow_warned = true;
+      RLOG_WARN("recraftd",
+                "n%u kernel dropped %llu datagrams: UDP receive buffer "
+                "(%d B) overflowed; see net.core.rmem_max",
+                id,
+                static_cast<unsigned long long>(
+                    metrics.counters().Get(overflow_drops)),
+                transport.rcvbuf_bytes());
+    }
+  }
 
   // Graceful-ish exit for SIGTERM/SIGINT: make pending WAL bytes durable so
   // a polite shutdown never loses acked work. SIGKILL skips this, and the
