@@ -419,15 +419,14 @@ void Node::OnRestart() {
   merge_span_ = 0;
   exchange_span_ = 0;
   member_span_ = 0;
-  read_span_ = 0;
+  read_spans_.clear();
   role_ = Role::kFollower;
   leader_ = kNoNode;
   votes_.clear();
   ClearProgress();
   pending_.clear();
   pending_reads_.clear();
-  read_probe_inflight_ = false;
-  read_acks_.clear();
+  read_acked_.clear();
   deferred_requests_.clear();
   DropPendingAcks();
   ResetElectionTimer();
@@ -801,8 +800,8 @@ void Node::Reinit(const raft::ConfigState& genesis, sm::SnapshotPtr data) {
   ClearProgress();
   pending_.clear();
   pending_reads_.clear();
-  read_probe_inflight_ = false;
-  read_acks_.clear();
+  read_acked_.clear();
+  read_spans_.clear();
   DropPendingAcks();
   merge_ = MergeRuntime{};
   exchange_.reset();

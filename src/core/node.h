@@ -308,6 +308,8 @@ class Node {
   /// Serve every read whose probe round confirmed and whose read_index has
   /// been applied; then launch the next probe round if reads are waiting.
   void ServeConfirmedReads();
+  /// Mark every round up to `seq` confirmed and close their spans.
+  void ConfirmReadRounds(uint64_t seq);
   void MaybeLaunchReadProbe();
   void BroadcastReadProbe();
   void FailPendingReads(Code code);
@@ -480,10 +482,12 @@ class Node {
   /// ReadIndex runtime (leader only). A registered read waits for (a) the
   /// probe round assigned to it to collect an election quorum of same-term
   /// acks — proof no newer leader could have committed past read_index —
-  /// and (b) applied_ to reach its read_index. Reads registered while a
-  /// probe is in flight join the NEXT round: an ack only vouches for
+  /// and (b) applied_ to reach its read_index. A read is assigned the next
+  /// round to launch, never one already in flight: an ack only vouches for
   /// leadership at the moment the follower sent it, which must postdate the
-  /// read's registration.
+  /// read's registration. Rounds pipeline — each batch of new reads launches
+  /// its own round at once — and an ack for round s vouches for every round
+  /// up to s.
   struct PendingRead {
     uint64_t req_id = 0;
     NodeId client = kNoNode;
@@ -495,8 +499,9 @@ class Node {
   std::deque<PendingRead> pending_reads_;
   uint64_t read_seq_ = 0;        // latest probe round launched
   uint64_t read_confirmed_ = 0;  // highest quorum-confirmed round
-  bool read_probe_inflight_ = false;
-  std::set<NodeId> read_acks_;
+  // Highest round each peer acked in this term; cleared at every
+  // leadership boundary (FailPendingReads) and on restart.
+  std::map<NodeId, uint64_t> read_acked_;
   int read_retry_countdown_ = 0;
   MergeRuntime merge_;
   std::optional<Exchange> exchange_;
@@ -521,7 +526,9 @@ class Node {
   uint64_t merge_span_ = 0;
   uint64_t exchange_span_ = 0;
   uint64_t member_span_ = 0;
-  uint64_t read_span_ = 0;
+  // One kReadRound span per launched, not yet confirmed round, oldest
+  // first: (round, span id).
+  std::deque<std::pair<uint64_t, uint64_t>> read_spans_;
   // Pre-interned handles for every counter the node bumps from message /
   // apply / tick paths (see CounterSet). The string Add() API re-hashes the
   // name per increment, so node code always goes through these ids; the

@@ -11,10 +11,14 @@
 //   3. serves the read from the applied state machine once applied_ has
 //      reached read_index.
 //
-// Reads batch: one probe round confirms every read registered before the
-// round was launched. Reads that arrive while a round is in flight join the
-// next round — an ack vouches for leadership at the moment the follower
-// sent it, which must postdate the read's registration.
+// Reads batch and rounds pipeline: each read is assigned the next round to
+// launch, and every batch of newly registered reads launches that round at
+// once, without waiting for the rounds already in flight. An ack vouches for
+// leadership at the moment the follower sent it, which postdates the launch
+// of the acked round and hence the registration of every read assigned to
+// it or to any earlier round — so an ack for round s counts toward every
+// round <= s, and the leader confirms the highest round an election quorum
+// has acked at or beyond.
 //
 // A deposed leader cannot serve stale data: followers that moved to a
 // higher term answer the probe with their term (ok=false), which steps the
@@ -90,38 +94,34 @@ void Node::BroadcastReadProbe() {
 }
 
 void Node::MaybeLaunchReadProbe() {
-  if (role_ != Role::kLeader || read_probe_inflight_) return;
-  bool waiting = false;
-  for (const PendingRead& pr : pending_reads_) {
-    if (pr.seq > read_confirmed_) {
-      waiting = true;
-      break;
-    }
+  // Only the newest read can still lack a launched round: seq is monotone
+  // in registration order.
+  if (role_ != Role::kLeader || pending_reads_.empty() ||
+      pending_reads_.back().seq <= read_seq_) {
+    return;
   }
-  if (!waiting) return;
   ++read_seq_;
-  read_acks_.clear();
   // A configuration whose election quorum this node satisfies alone (a
   // shrunk single-node cluster) confirms instantly — there is no one to
   // probe and no competing leader to fear.
   std::set<NodeId> self{id_};
   if (raft::ElectionQuorum(config_.Current()).Satisfied(self)) {
-    read_confirmed_ = read_seq_;
-    read_probe_inflight_ = false;
+    ConfirmReadRounds(read_seq_);
     ServeConfirmedReads();  // bounded: rounds only confirm forward
     return;
   }
-  read_probe_inflight_ = true;
   read_retry_countdown_ = opts_.read_probe_retry_ticks;
-  if (opts_.recorder != nullptr && read_span_ == 0) {
-    read_span_ = opts_.recorder->BeginSpan(id_, obs::Name::kReadRound,
-                                           cur_ctx_, read_seq_);
+  if (opts_.recorder != nullptr) {
+    read_spans_.emplace_back(
+        read_seq_, opts_.recorder->BeginSpan(id_, obs::Name::kReadRound,
+                                             cur_ctx_, read_seq_));
   }
   BroadcastReadProbe();
 }
 
 void Node::ReadTick() {
-  if (!read_probe_inflight_) return;
+  // Resending the latest round suffices: its ack covers every older round.
+  if (read_confirmed_ >= read_seq_) return;
   if (--read_retry_countdown_ > 0) return;
   read_retry_countdown_ = opts_.read_probe_retry_ticks;
   counters_.Add(cid_.read_probe_retry);
@@ -167,20 +167,27 @@ void Node::HandleReadIndexAck(NodeId from, const raft::ReadIndexAck& m) {
     if (met.raw() > term_) return;
   }
   if (role_ != Role::kLeader || m.et != term_ || !m.ok) return;
-  if (!read_probe_inflight_ || m.seq != read_seq_) return;
+  // Rounds at or below read_confirmed_ are settled; rounds above read_seq_
+  // were never launched by this leader.
+  if (m.seq <= read_confirmed_ || m.seq > read_seq_) return;
   // The ack is also evidence of a live follower for the CheckQuorum lease.
   WithProgress(from, [](Progress& p) { p.ticks_since_ack = 0; });
-  read_acks_.insert(from);
-  std::set<NodeId> acks = read_acks_;
-  acks.insert(id_);
-  if (!raft::ElectionQuorum(config_.Current()).Satisfied(acks)) return;
-  read_confirmed_ = read_seq_;
-  read_probe_inflight_ = false;
-  if (opts_.recorder != nullptr && read_span_ != 0) {
-    opts_.recorder->EndSpan(id_, obs::Name::kReadRound, read_span_,
-                            obs::Outcome::kOk, read_seq_);
-    read_span_ = 0;
+  uint64_t& acked = read_acked_[from];
+  acked = std::max(acked, m.seq);
+  // The highest round s that {self} plus every peer with an ack >= s
+  // satisfies; a round that qualifies makes every lower round qualify.
+  raft::QuorumSpec quorum = raft::ElectionQuorum(config_.Current());
+  uint64_t confirmed = read_confirmed_;
+  for (const auto& [peer, s] : read_acked_) {
+    if (s <= confirmed) continue;
+    std::set<NodeId> acks{id_};
+    for (const auto& [p, t] : read_acked_) {
+      if (t >= s) acks.insert(p);
+    }
+    if (quorum.Satisfied(acks)) confirmed = s;
   }
+  if (confirmed == read_confirmed_) return;
+  ConfirmReadRounds(confirmed);
   counters_.Add(cid_.read_quorum_confirmed);
   ServeConfirmedReads();
 }
@@ -201,18 +208,28 @@ void Node::ServeConfirmedReads() {
   MaybeLaunchReadProbe();
 }
 
+void Node::ConfirmReadRounds(uint64_t seq) {
+  read_confirmed_ = seq;
+  // read_spans_ is non-empty only while a recorder is armed.
+  while (!read_spans_.empty() && read_spans_.front().first <= seq) {
+    opts_.recorder->EndSpan(id_, obs::Name::kReadRound,
+                            read_spans_.front().second, obs::Outcome::kOk,
+                            read_spans_.front().first);
+    read_spans_.pop_front();
+  }
+}
+
 void Node::FailPendingReads(Code code) {
   for (const PendingRead& pr : pending_reads_) {
     ReplyToClient(pr.client, pr.req_id, Status(code), {}, pr.ctx);
   }
   pending_reads_.clear();
-  read_probe_inflight_ = false;
-  read_acks_.clear();
-  if (opts_.recorder != nullptr && read_span_ != 0) {
-    opts_.recorder->EndSpan(id_, obs::Name::kReadRound, read_span_,
-                            obs::Outcome::kLost);
-    read_span_ = 0;
+  read_acked_.clear();
+  for (const auto& [seq, span] : read_spans_) {
+    opts_.recorder->EndSpan(id_, obs::Name::kReadRound, span,
+                            obs::Outcome::kLost, seq);
   }
+  read_spans_.clear();
 }
 
 }  // namespace recraft::core

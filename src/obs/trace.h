@@ -58,7 +58,7 @@ enum class Name : uint16_t {
   kMerge,           // cluster-level 2PC on the coordinator (a = tx id)
   kMergeExchange,   // snapshot transfer into the merged cluster (a = tx id)
   kMemberChange,    // a = node being added/removed
-  kReadRound,       // one ReadIndex probe round (a = read index)
+  kReadRound,       // one ReadIndex probe round (a = round number)
 
   // Protocol instants inside the spans above.
   kSplitJointCommitted,   // a = log index

@@ -413,6 +413,146 @@ TEST(NodeUnit, ReadBarrierBlocksFreshLeaderReads) {
   EXPECT_EQ(replies[0].value, "new");
 }
 
+// Elect node 1 of {1, 2, 3} and commit its term's no-op, so the read
+// barrier is lifted; returns the leader's epoch-term.
+uint64_t ElectReadyLeader(NodeHarness& h) {
+  h.TickUntilCandidate();
+  uint64_t et = h.node->current_et().raw();
+  raft::VoteReply grant;
+  grant.et = et;
+  grant.granted = true;
+  grant.from = 2;
+  h.node->Receive(2, grant);
+  raft::AppendReply ack;
+  ack.et = et;
+  ack.from = 2;
+  ack.ok = true;
+  ack.match = h.node->last_log_index();
+  h.node->Receive(2, ack);
+  h.Clear();
+  return et;
+}
+
+void SendGet(NodeHarness& h, uint64_t req_id) {
+  kv::Command get;
+  get.op = kv::OpType::kGet;
+  get.key = "k";
+  raft::ClientRequest req;
+  req.req_id = req_id;
+  req.from = 1000;
+  req.body = raft::ReadRequest{kv::EncodeCommand(get)};
+  h.node->Receive(1000, req);
+}
+
+void SendReadAck(NodeHarness& h, NodeId from, uint64_t et, uint64_t seq,
+                 bool ok = true) {
+  raft::ReadIndexAck ra;
+  ra.et = et;
+  ra.from = from;
+  ra.seq = seq;
+  ra.ok = ok;
+  h.node->Receive(from, ra);
+}
+
+// Two reads registered before any ack: the second launches its own probe
+// round at once instead of waiting for the first round to finish.
+struct PipelinedReads {
+  explicit PipelinedReads(NodeHarness& h) {
+    et = ElectReadyLeader(h);
+    SendGet(h, 7);
+    auto probes = h.Sent<raft::ReadIndexProbe>();
+    EXPECT_EQ(probes.size(), 2u);  // one per peer
+    older = probes.back().seq;
+    h.Clear();
+    SendGet(h, 8);
+    probes = h.Sent<raft::ReadIndexProbe>();
+    EXPECT_EQ(probes.size(), 2u);
+    newer = probes.back().seq;
+    h.Clear();
+  }
+  uint64_t et = 0;
+  uint64_t older = 0;
+  uint64_t newer = 0;
+};
+
+TEST(NodeUnit, PipelinedReadLaunchesItsOwnRoundAtOnce) {
+  NodeHarness h(1, {1, 2, 3});
+  PipelinedReads r(h);
+  EXPECT_EQ(r.newer, r.older + 1);
+  EXPECT_EQ(h.node->pending_read_count(), 2u);
+}
+
+TEST(NodeUnit, AckForOlderRoundServesOnlyOlderRead) {
+  NodeHarness h(1, {1, 2, 3});
+  PipelinedReads r(h);
+  SendReadAck(h, 2, r.et, r.older);
+  auto replies = h.Sent<raft::ClientReply>();
+  ASSERT_EQ(replies.size(), 1u);
+  EXPECT_EQ(replies[0].req_id, 7u);
+  EXPECT_EQ(replies[0].status.code(), Code::kNotFound);  // served
+  EXPECT_EQ(h.node->pending_read_count(), 1u);
+  // The newer read still needs an ack sent after its own registration.
+  h.Clear();
+  SendReadAck(h, 3, r.et, r.older);
+  EXPECT_TRUE(h.Sent<raft::ClientReply>().empty());
+  SendReadAck(h, 3, r.et, r.newer);
+  replies = h.Sent<raft::ClientReply>();
+  ASSERT_EQ(replies.size(), 1u);
+  EXPECT_EQ(replies[0].req_id, 8u);
+}
+
+TEST(NodeUnit, AckForNewerRoundServesBothReads) {
+  NodeHarness h(1, {1, 2, 3});
+  PipelinedReads r(h);
+  SendReadAck(h, 2, r.et, r.newer);
+  auto replies = h.Sent<raft::ClientReply>();
+  ASSERT_EQ(replies.size(), 2u);
+  EXPECT_EQ(replies[0].req_id, 7u);
+  EXPECT_EQ(replies[1].req_id, 8u);
+  // Served from the machine: the key was never written.
+  EXPECT_EQ(replies[0].status.code(), Code::kNotFound);
+  EXPECT_EQ(replies[1].status.code(), Code::kNotFound);
+  EXPECT_EQ(h.node->pending_read_count(), 0u);
+  EXPECT_TRUE(h.Sent<raft::ReadIndexProbe>().empty());
+}
+
+TEST(NodeUnit, HigherTermNackFailsEveryPipelinedRead) {
+  NodeHarness h(1, {1, 2, 3});
+  PipelinedReads r(h);
+  EpochTerm cur(r.et);
+  uint64_t higher = EpochTerm::Make(cur.epoch(), cur.term() + 1).raw();
+  SendReadAck(h, 2, higher, r.older, /*ok=*/false);
+  EXPECT_FALSE(h.node->IsLeader());
+  auto replies = h.Sent<raft::ClientReply>();
+  ASSERT_EQ(replies.size(), 2u);
+  EXPECT_EQ(replies[0].status.code(), Code::kNotLeader);
+  EXPECT_EQ(replies[1].status.code(), Code::kNotLeader);
+  EXPECT_EQ(h.node->pending_read_count(), 0u);
+}
+
+TEST(NodeUnit, UnlaunchedOrStaleTermReadAckServesNothing) {
+  NodeHarness h(1, {1, 2, 3});
+  PipelinedReads r(h);
+  // A round this leader never launched.
+  SendReadAck(h, 2, r.et, r.newer + 1);
+  // An ok ack from an older term.
+  EpochTerm cur(r.et);
+  uint64_t stale = EpochTerm::Make(cur.epoch(), cur.term() - 1).raw();
+  SendReadAck(h, 3, stale, r.newer);
+  EXPECT_TRUE(h.Sent<raft::ClientReply>().empty());
+  EXPECT_EQ(h.node->pending_read_count(), 2u);
+  // Neither was recorded: the round the bogus seq named, once launched,
+  // still waits for a real ack.
+  SendGet(h, 9);
+  auto probes = h.Sent<raft::ReadIndexProbe>();
+  ASSERT_FALSE(probes.empty());
+  EXPECT_EQ(probes.back().seq, r.newer + 1);
+  EXPECT_TRUE(h.Sent<raft::ClientReply>().empty());
+  EXPECT_EQ(h.node->pending_read_count(), 3u);
+  SendReadAck(h, 2, r.et, r.newer + 1);
+  EXPECT_EQ(h.Sent<raft::ClientReply>().size(), 3u);
+}
+
 TEST(NodeUnit, CrashRestartPreservesPersistentState) {
   NodeHarness h(1, {1});
   h.TickUntilCandidate();

@@ -1,11 +1,14 @@
 // Flight-recorder correctness: the recorder is pure observation (digest
 // bit-identical disarmed / armed / with a wrapping ring), the ring buffer
-// overwrites oldest-first, protocol spans pair up across a full split and a
-// full merge-abort, and the Chrome-trace export is structurally valid JSON
-// with monotone timestamps per track.
+// overwrites oldest-first, protocol spans pair up across a full split, a
+// full merge-abort and overlapping read rounds, and the Chrome-trace export
+// is structurally valid JSON with monotone timestamps per track.
 #include <sstream>
 
+#include "core/node.h"
 #include "harness/sweep.h"
+#include "kv/kv_machine.h"
+#include "kv/service.h"
 #include "obs/export.h"
 #include "obs/trace.h"
 #include "tests/test_util.h"
@@ -208,6 +211,102 @@ TEST(Obs, MergeAbortSpanEndsAborted) {
   }
   EXPECT_TRUE(saw_prepare);
   EXPECT_TRUE(saw_outcome) << "abort outcome instant missing";
+}
+
+// Pipelined ReadIndex rounds each get their own kReadRound span: two rounds
+// in flight at once close separately, each spanning one probe round trip
+// (a single span over both would stretch from the first launch to the last
+// ack).
+TEST(Obs, ReadRoundSpanPerOverlappingRound) {
+  Recorder rec;
+  TimePoint now = 0;
+  rec.BindClock(&now);
+  core::Options opts;
+  opts.machine_factory = kv::KvMachineFactory();
+  opts.recorder = &rec;
+  raft::ConfigState genesis;
+  genesis.members = {1, 2, 3};
+  genesis.range = KeyRange::Full();
+  genesis.uid = 99;
+  std::vector<raft::MessagePtr> sent;
+  core::Node n(1, opts, genesis, Rng(7),
+               [&sent](NodeId, raft::MessagePtr m) { sent.push_back(m); });
+  for (int i = 0; i < 100 && n.role() != core::Role::kCandidate; ++i) {
+    n.Tick();
+  }
+  const uint64_t et = n.current_et().raw();
+  raft::VoteReply grant;
+  grant.et = et;
+  grant.granted = true;
+  grant.from = 2;
+  n.Receive(2, grant);
+  raft::AppendReply commit_noop;
+  commit_noop.et = et;
+  commit_noop.from = 2;
+  commit_noop.ok = true;
+  commit_noop.match = n.last_log_index();
+  n.Receive(2, commit_noop);
+  ASSERT_TRUE(n.IsLeader());
+
+  auto get = [&n](uint64_t req_id) {
+    kv::Command cmd;
+    cmd.op = kv::OpType::kGet;
+    cmd.key = "k";
+    raft::ClientRequest req;
+    req.req_id = req_id;
+    req.from = 1000;
+    req.body = raft::ReadRequest{kv::EncodeCommand(cmd)};
+    n.Receive(1000, req);
+  };
+  auto last_probe_seq = [&sent]() {
+    uint64_t seq = 0;
+    for (const auto& m : sent) {
+      if (const auto* p = std::get_if<raft::ReadIndexProbe>(m.get())) {
+        seq = p->seq;
+      }
+    }
+    return seq;
+  };
+  auto ack = [&n, et](uint64_t seq) {
+    raft::ReadIndexAck a;
+    a.et = et;
+    a.from = 2;
+    a.seq = seq;
+    a.ok = true;
+    n.Receive(2, a);
+  };
+  now = 10'000;
+  get(1);
+  const uint64_t first = last_probe_seq();
+  now = 11'000;
+  get(2);
+  const uint64_t second = last_probe_seq();
+  ASSERT_EQ(second, first + 1);
+  now = 13'000;
+  ack(first);
+  now = 14'000;
+  ack(second);
+
+  std::map<uint64_t, TraceRecord> begins;
+  std::vector<std::pair<TraceRecord, TraceRecord>> rounds;
+  for (const auto& r : rec.Snapshot()) {
+    if (r.name != Name::kReadRound) continue;
+    if (r.kind == Kind::kSpanBegin) {
+      begins[r.span] = r;
+    } else if (r.kind == Kind::kSpanEnd) {
+      ASSERT_EQ(begins.count(r.span), 1u);
+      rounds.emplace_back(begins[r.span], r);
+    }
+  }
+  ASSERT_EQ(begins.size(), 2u);
+  ASSERT_EQ(rounds.size(), 2u);
+  for (const auto& [b, e] : rounds) {
+    EXPECT_EQ(e.b, static_cast<uint64_t>(Outcome::kOk));
+    EXPECT_EQ(b.a, e.a);  // the round number
+    EXPECT_EQ(e.ts - b.ts, 3'000u);  // one probe round trip each
+  }
+  EXPECT_EQ(rounds[0].first.a, first);
+  EXPECT_EQ(rounds[1].first.a, second);
 }
 
 // --------------------------------------------------------------------------
