@@ -31,6 +31,7 @@ void Node::StartElection() {
   voted_for_ = id_;
   votes_.clear();
   votes_.insert(id_);
+  held_appends_.clear();
   ResetElectionTimer();
 
   auto quorum = raft::ElectionQuorum(config_.Current());

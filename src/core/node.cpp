@@ -71,6 +71,8 @@ void Node::InternCounters() {
   cid_.repl_stale_peer_dropped = counters_.Intern("repl.stale_peer_dropped");
   cid_.repl_snapshot_sent = counters_.Intern("repl.snapshot_sent");
   cid_.repl_truncations = counters_.Intern("repl.truncations");
+  cid_.repl_append_held = counters_.Intern("repl.append_held");
+  cid_.repl_append_gap_nack = counters_.Intern("repl.append_gap_nack");
 }
 
 Node::Node(NodeId id, Options opts, raft::ConfigState genesis, Rng rng,
@@ -142,7 +144,10 @@ void Node::MaybePersistHard() {
   storage_->PersistHardState(hs);
 }
 
-void Node::DropPendingAcks() { pending_acks_.clear(); }
+void Node::DropPendingAcks() {
+  pending_acks_.clear();
+  held_appends_.clear();
+}
 
 void Node::OnStorageDurable() {
   if (storage_ == nullptr) return;
@@ -202,6 +207,8 @@ void Node::BecomeFollower(EpochTerm et, NodeId leader) {
     election_span_ = 0;
   }
   bool term_changed = et.raw() != term_;
+  // Held appends belong to one leader in one term.
+  if (term_changed || leader != leader_) held_appends_.clear();
   if (term_changed) {
     term_ = et.raw();
     voted_for_ = kNoNode;

@@ -206,7 +206,7 @@ class Node {
   /// sent by the same event can be delivered.
   void MaybePersistHard();
   /// Drop durability-gated acks whose log positions were invalidated
-  /// (truncation, snapshot install, log reset).
+  /// (truncation, snapshot install, log reset), and every held append.
   void DropPendingAcks();
   /// Rebuild the node from storage_->Load(): install the snapshot, replay
   /// the log into the config tracker, re-seed the merge-exchange runtime,
@@ -475,6 +475,19 @@ class Node {
     obs::TraceCtx ctx;  // the gated append's context, restored at release
   };
   std::deque<PendingAck> pending_acks_;
+  /// Same-term AppendEntries that arrived ahead of a gap in the log (the
+  /// network reordered them past an earlier AE), keyed by prev_idx and
+  /// capped at max_inflight_appends. Replied to only when released: once
+  /// the log reaches prev_idx, each is extracted and re-run through
+  /// HandleAppendEntries with its saved context, so it faces every check a
+  /// late delivery would. Cleared with pending_acks_, on a term or leader
+  /// change, and when campaigning.
+  struct HeldAppend {
+    NodeId from;
+    raft::AppendEntries m;
+    obs::TraceCtx ctx;
+  };
+  std::map<Index, HeldAppend> held_appends_;
   /// Client requests beyond this tick's admission budget (see
   /// max_client_requests_per_tick), served FIFO on subsequent ticks.
   std::deque<std::pair<NodeId, raft::ClientRequest>> deferred_requests_;
@@ -556,7 +569,7 @@ class Node {
     CounterSet::Id read_probe_retry, read_quorum_confirmed, read_served;
     CounterSet::Id invariant_committed_conflict;
     CounterSet::Id repl_stale_peer_dropped, repl_snapshot_sent;
-    CounterSet::Id repl_truncations;
+    CounterSet::Id repl_truncations, repl_append_held, repl_append_gap_nack;
   };
   HotCounters cid_{};
 };

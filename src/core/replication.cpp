@@ -9,6 +9,13 @@
 // mutate tracking fields inside WithProgress (debug-asserted against
 // invalidation), then run AdvanceCommit / MaybeSendAppend afterwards;
 // MaybeSendAppend re-resolves its peer through LeaderProgress.
+//
+// Follower side: the network may reorder AppendEntries. A same-term,
+// non-empty AE that arrives ahead of a gap is held (held_appends_, capped at
+// max_inflight_appends) and re-run through HandleAppendEntries once the log
+// reaches its prev_idx — extracted from the map first, since the nested call
+// can clear it. Empty AEs with a gap still nack: that nack is the leader's
+// only signal that an AE was lost.
 #include <algorithm>
 
 #include "common/logging.h"
@@ -154,17 +161,30 @@ void Node::HandleAppendEntries(NodeId from, const raft::AppendEntries& m) {
   ResetElectionTimer();
   silent_ticks_ = 0;
 
+  // A non-empty AE that overtook an earlier one waits for the gap to fill
+  // instead of nacking: a nack makes the leader rewind and resend its whole
+  // window. An empty AE (heartbeat, commit broadcast) still nacks — that is
+  // how the leader learns an AE was lost — and so does one past the cap.
+  const bool gap = m.prev_idx > log_.last_index();
+  if (gap && !m.entries.empty() &&
+      held_appends_.size() < opts_.max_inflight_appends) {
+    counters_.Add(cid_.repl_append_held);
+    held_appends_.insert_or_assign(m.prev_idx, HeldAppend{from, m, cur_ctx_});
+    return;
+  }
+
   raft::AppendReply reply;
   reply.et = term_;
   reply.from = id_;
 
   if (!log_.Matches(m.prev_idx, m.prev_term)) {
+    if (gap) counters_.Add(cid_.repl_append_gap_nack);
     reply.ok = false;
     reply.match = commit_;
     // Conflict hint: skip back over the whole conflicting-term run, never
     // below the committed prefix (which always matches the leader's log).
     Index hint;
-    if (m.prev_idx > log_.last_index()) {
+    if (gap) {
       hint = log_.last_index() + 1;
     } else {
       hint = m.prev_idx;
@@ -225,6 +245,19 @@ void Node::HandleAppendEntries(NodeId from, const raft::AppendEntries& m) {
     }
     pending_acks_.push_back(
         PendingAck{from, reply, log_.TermAt(last_new), cur_ctx_});
+  }
+
+  // Release held appends the log now reaches, lowest first. Each is
+  // extracted before the nested call, which can append, truncate, apply a
+  // reconfiguration or clear held_appends_ outright.
+  while (!held_appends_.empty() &&
+         held_appends_.begin()->first <= log_.last_index()) {
+    HeldAppend held =
+        std::move(held_appends_.extract(held_appends_.begin()).mapped());
+    const obs::TraceCtx saved = cur_ctx_;
+    cur_ctx_ = held.ctx;
+    HandleAppendEntries(held.from, held.m);
+    cur_ctx_ = saved;
   }
 }
 

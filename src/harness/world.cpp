@@ -3,6 +3,7 @@
 #include <cassert>
 #include <ostream>
 #include <string_view>
+#include <utility>
 
 #include "common/logging.h"
 
@@ -351,13 +352,17 @@ bool World::WaitForLeader(const std::vector<NodeId>& members,
 }
 
 raft::ConfigState World::ConfigOf(const std::vector<NodeId>& members) const {
+  // Highest et wins; on a tie, the member that committed most. A member cut
+  // off before its removal committed keeps the survivors' et (until it
+  // campaigns) but not their config.
+  auto rank = [](const core::Node& n) {
+    return std::pair(n.current_et().raw(), n.commit_index());
+  };
   const core::Node* best = nullptr;
   for (NodeId id : members) {
     if (!HasNode(id) || net_.IsCrashed(id)) continue;
     const auto& n = node(id);
-    if (best == nullptr || n.current_et().raw() > best->current_et().raw()) {
-      best = &n;
-    }
+    if (best == nullptr || rank(n) > rank(*best)) best = &n;
   }
   // Every member down (crash chaos): an empty state, never a dead deref —
   // callers treat memberless configs as "nothing to do" and fail softly.

@@ -167,6 +167,43 @@ TEST(Membership, RemovedLeaderStepsDown) {
   EXPECT_TRUE(f.w->node(leader).IsRetired());
 }
 
+// A member cut off before its removal reached it shares the survivors'
+// epoch-term until it next campaigns. World::ConfigOf must settle that tie
+// for the member that knows most (highest commit index), not for whichever
+// member is listed first — or AdminResizeTo re-issues the removal.
+TEST(Membership, ConfigOfPrefersCommittedViewOverPartitionedRemovedMember) {
+  MemberFixture f(11, 3);
+  NodeId leader = f.w->LeaderOf(f.cluster);
+  ASSERT_NE(leader, kNoNode);
+  NodeId victim = kNoNode;
+  std::vector<NodeId> rest;
+  for (NodeId id : f.cluster) {
+    if (id != leader && victim == kNoNode) {
+      victim = id;
+    } else {
+      rest.push_back(id);
+    }
+  }
+  for (NodeId id : rest) f.w->net().Block(victim, id);
+  ASSERT_TRUE(f.w->AdminMemberChange(
+                   f.cluster,
+                   Change(MemberChangeKind::kRemoveAndResize, {victim}))
+                  .ok());
+  ASSERT_TRUE(f.Settled(rest));
+  // The tie this test is about: same et, but the victim never saw the
+  // removal commit.
+  ASSERT_EQ(f.w->node(victim).current_et().raw(),
+            f.w->node(leader).current_et().raw());
+  ASSERT_LT(f.w->node(victim).commit_index(), f.w->node(leader).commit_index());
+  std::vector<NodeId> victim_first{victim};
+  victim_first.insert(victim_first.end(), rest.begin(), rest.end());
+  std::sort(rest.begin(), rest.end());
+  EXPECT_EQ(f.w->ConfigOf(victim_first).members, rest);
+  auto steps = f.w->AdminResizeTo(victim_first, rest, 10 * kSecond);
+  ASSERT_TRUE(steps.ok()) << steps.status().ToString();
+  EXPECT_EQ(*steps, 0);  // nothing left to do
+}
+
 TEST(Membership, VanillaAddServerRpc) {
   MemberFixture f(8, 3);
   NodeId fresh = f.w->CreateSpareNode();

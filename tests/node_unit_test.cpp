@@ -4,6 +4,10 @@
 // admission control at the RPC level.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <optional>
+#include <string>
+
 #include "core/node.h"
 #include "kv/kv_machine.h"
 #include "kv/service.h"
@@ -206,6 +210,194 @@ TEST(NodeUnit, FollowerAppendsAndCommits) {
   EXPECT_EQ(h.node->last_applied(), 2u);
   EXPECT_EQ(*StoreOf(*h.node).Get("x"), "1");
   EXPECT_EQ(h.node->leader_hint(), 2u);
+}
+
+// --- Appends that overtake a gap -------------------------------------------
+// The network may deliver a small AE ahead of a larger one sent before it.
+// The follower holds such an AE until the gap fills rather than nacking it
+// (a nack would make the leader rewind and resend its whole window).
+
+raft::LogEntry PutEntry(Index index, uint64_t term) {
+  kv::Command cmd;
+  cmd.op = kv::OpType::kPut;
+  cmd.key = "k" + std::to_string(index);
+  cmd.value = "v";
+  raft::LogEntry e;
+  e.index = index;
+  e.term = term;
+  e.payload = kv::EncodeCommand(cmd);
+  return e;
+}
+
+/// An AE from `leader` at `et` carrying entry `prev_idx + 1` (none if
+/// `empty`), whose predecessor claims `prev_term` (default: `et`; the
+/// genesis entry at index 1 has term 0).
+raft::AppendEntries AppendAfter(NodeId leader, uint64_t et, Index prev_idx,
+                                bool empty = false,
+                                std::optional<uint64_t> prev_term = {}) {
+  raft::AppendEntries ae;
+  ae.et = et;
+  ae.leader = leader;
+  ae.prev_idx = prev_idx;
+  ae.prev_term = prev_term ? *prev_term : (prev_idx <= 1 ? 0 : et);
+  if (!empty) ae.entries = {PutEntry(prev_idx + 1, et)};
+  return ae;
+}
+
+const uint64_t kT1 = EpochTerm::Make(0, 1).raw();
+
+TEST(NodeUnit, AppendAheadOfGapIsHeldWithoutReply) {
+  NodeHarness h(1, {1, 2, 3});
+  h.node->Receive(2, AppendAfter(2, kT1, 2));  // entry 3 before entry 2
+  EXPECT_TRUE(h.outbox.empty());
+  EXPECT_EQ(h.node->log().last_index(), 1u);
+  EXPECT_EQ(h.node->leader_hint(), 2u);  // still a valid leader contact
+  EXPECT_EQ(h.node->counters().Get("repl.append_held"), 1u);
+  EXPECT_EQ(h.node->counters().Get("repl.append_gap_nack"), 0u);
+}
+
+TEST(NodeUnit, FillingTheGapReleasesHeldAppendsInOrder) {
+  NodeHarness h(1, {1, 2, 3});
+  h.node->Receive(2, AppendAfter(2, kT1, 3));  // entry 4
+  h.node->Receive(2, AppendAfter(2, kT1, 2));  // entry 3
+  ASSERT_TRUE(h.outbox.empty());
+  h.node->Receive(2, AppendAfter(2, kT1, 1));  // entry 2 fills the gap
+  EXPECT_EQ(h.node->log().last_index(), 4u);
+  for (Index i = 2; i <= 4; ++i) EXPECT_EQ(h.node->log().TermAt(i), kT1);
+  auto replies = h.Sent<raft::AppendReply>();
+  ASSERT_EQ(replies.size(), 3u);
+  for (size_t i = 0; i < replies.size(); ++i) {
+    EXPECT_TRUE(replies[i].ok);
+    EXPECT_EQ(replies[i].match, 2 + i);  // one ack per AE, lowest first
+  }
+  EXPECT_EQ(replies.back().match, 4u);  // the last ack covers held entries
+}
+
+TEST(NodeUnit, EmptyAppendWithGapStillNacks) {
+  NodeHarness h(1, {1, 2, 3});
+  h.node->Receive(2, AppendAfter(2, kT1, 2));  // held
+  h.node->Receive(2, AppendAfter(2, kT1, 4, /*empty=*/true));
+  auto replies = h.Sent<raft::AppendReply>();
+  ASSERT_EQ(replies.size(), 1u);
+  EXPECT_FALSE(replies[0].ok);
+  EXPECT_EQ(replies[0].conflict_hint, 2u);  // last + 1
+  EXPECT_EQ(h.node->counters().Get("repl.append_gap_nack"), 1u);
+  // The nack did not discard the held AE.
+  h.Clear();
+  h.node->Receive(2, AppendAfter(2, kT1, 1));
+  EXPECT_EQ(h.node->log().last_index(), 3u);
+  EXPECT_EQ(h.Sent<raft::AppendReply>().size(), 2u);
+}
+
+/// Holds entry 3's AE from leader 2 at term 1, runs `discard`, then lets
+/// `filler` (from node `via`) extend the log through index 2: no trace of
+/// the held AE may remain — no append, no reply to it.
+void ExpectHeldAppendDiscarded(
+    NodeHarness& h, const std::function<void()>& discard, NodeId via,
+    const raft::AppendEntries& filler) {
+  h.node->Receive(2, AppendAfter(2, kT1, 2));
+  discard();
+  h.Clear();
+  h.node->Receive(via, filler);
+  EXPECT_EQ(h.node->log().last_index(), 2u);
+  auto replies = h.Sent<raft::AppendReply>();
+  ASSERT_EQ(replies.size(), 1u);
+  EXPECT_TRUE(replies[0].ok);
+  EXPECT_EQ(replies[0].match, 2u);
+  EXPECT_EQ(h.outbox.size(), 1u);
+}
+
+TEST(NodeUnit, HeldAppendsDroppedOnNewTermRestartOrSnapshot) {
+  const uint64_t t2 = EpochTerm::Make(0, 2).raw();
+  {
+    SCOPED_TRACE("higher term, same leader");
+    NodeHarness h(1, {1, 2, 3});
+    ExpectHeldAppendDiscarded(
+        h, [&] { h.node->Receive(2, AppendAfter(2, t2, 1, true)); }, 2,
+        AppendAfter(2, t2, 1));
+  }
+  {
+    SCOPED_TRACE("new leader");
+    NodeHarness h(1, {1, 2, 3});
+    ExpectHeldAppendDiscarded(
+        h, [&] { h.node->Receive(3, AppendAfter(3, t2, 1, true)); }, 3,
+        AppendAfter(3, t2, 1));
+  }
+  {
+    SCOPED_TRACE("campaign");
+    NodeHarness h(1, {1, 2, 3});
+    ExpectHeldAppendDiscarded(
+        h,
+        [&] {
+          h.TickUntilCandidate();
+          ASSERT_EQ(h.node->current_et().raw(), t2);
+        },
+        3, AppendAfter(3, t2, 1));
+  }
+  {
+    SCOPED_TRACE("restart");
+    NodeHarness h(1, {1, 2, 3});
+    ExpectHeldAppendDiscarded(
+        h,
+        [&] {
+          h.node->OnCrash();
+          h.node->OnRestart();
+        },
+        2, AppendAfter(2, kT1, 1));
+  }
+  {
+    SCOPED_TRACE("snapshot install");
+    NodeHarness h(1, {1, 2, 3});
+    auto snap = std::make_shared<raft::RaftSnapshot>();
+    snap->last_index = 2;
+    snap->last_term = kT1;
+    auto kvsnap = std::make_shared<kv::Snapshot>();
+    kvsnap->range = KeyRange::Full();
+    snap->state = kv::KvMachine::Wrap(kvsnap);
+    snap->config.members = {1, 2, 3};
+    snap->config.range = KeyRange::Full();
+    snap->config.uid = 99;
+    raft::InstallSnapshot is;
+    is.et = kT1;
+    is.leader = 2;
+    is.snap = snap;
+    // The snapshot itself reaches index 2; an empty AE then exercises the
+    // release path, which must find nothing held.
+    ExpectHeldAppendDiscarded(
+        h, [&] { h.node->Receive(2, is); }, 2,
+        AppendAfter(2, kT1, 2, /*empty=*/true));
+  }
+}
+
+TEST(NodeUnit, GappedAppendBeyondHoldCapNacks) {
+  Options opts;
+  opts.max_inflight_appends = 2;
+  NodeHarness h(1, {1, 2, 3}, opts);
+  h.node->Receive(2, AppendAfter(2, kT1, 2));
+  h.node->Receive(2, AppendAfter(2, kT1, 3));
+  EXPECT_TRUE(h.outbox.empty());
+  h.node->Receive(2, AppendAfter(2, kT1, 4));  // third: over the cap
+  auto replies = h.Sent<raft::AppendReply>();
+  ASSERT_EQ(replies.size(), 1u);
+  EXPECT_FALSE(replies[0].ok);
+  EXPECT_EQ(replies[0].conflict_hint, 2u);
+  EXPECT_EQ(h.node->counters().Get("repl.append_held"), 2u);
+  EXPECT_EQ(h.node->counters().Get("repl.append_gap_nack"), 1u);
+}
+
+TEST(NodeUnit, ReleasedAppendWithStalePrevTermGetsConflictNack) {
+  NodeHarness h(1, {1, 2, 3});
+  const uint64_t t2 = EpochTerm::Make(0, 2).raw();
+  // Held AE claims entry 2 is from term 1; the filler writes it at term 2.
+  h.node->Receive(2, AppendAfter(2, t2, 2, false, kT1));
+  ASSERT_TRUE(h.outbox.empty());
+  h.node->Receive(2, AppendAfter(2, t2, 1));
+  EXPECT_EQ(h.node->log().last_index(), 2u);
+  auto replies = h.Sent<raft::AppendReply>();
+  ASSERT_EQ(replies.size(), 2u);
+  EXPECT_TRUE(replies[0].ok);
+  EXPECT_FALSE(replies[1].ok);
+  EXPECT_EQ(replies[1].conflict_hint, 2u);
 }
 
 TEST(NodeUnit, HigherEpochVoteTriggersPull) {
