@@ -74,32 +74,15 @@ World::World(WorldOptions opts)
 
 World::~World() = default;
 
-storage::Storage* World::MakeStorage(NodeId id, bool fresh_instance) {
-  switch (opts_.storage) {
-    case StorageMode::kNone:
-      return nullptr;
-    case StorageMode::kInMemory:
-      // The object *is* the durable medium: one instance for the whole run.
-      if (storages_.count(id) == 0) {
-        storages_[id] = std::make_unique<storage::InMemoryStorage>();
-      }
-      return storages_[id].get();
-    case StorageMode::kWal: {
-      if (disks_.count(id) == 0) {
-        disks_[id] = std::make_shared<storage::SimDisk>(opts_.disk);
-      }
-      if (fresh_instance || storages_.count(id) == 0) {
-        auto wal = std::make_unique<storage::WalStorage>(disks_[id], &clock_,
-                                                         opts_.wal);
-        if (opts_.recorder != nullptr) {
-          wal->SetRecorder(opts_.recorder, id);
-        }
-        storages_[id] = std::move(wal);
-      }
-      return storages_[id].get();
-    }
-  }
-  return nullptr;
+storage::Storage* World::MakeStorage(NodeId id) {
+  if (opts_.storage == StorageMode::kNone) return nullptr;
+  auto& disk = disks_[id];
+  if (disk == nullptr) disk = std::make_shared<storage::SimDisk>(opts_.disk);
+  auto wal = std::make_unique<storage::WalStorage>(disk, &clock_, opts_.wal);
+  if (opts_.recorder != nullptr) wal->SetRecorder(opts_.recorder, id);
+  storage::Storage* raw = wal.get();
+  storages_[id] = std::move(wal);
+  return raw;
 }
 
 void World::RegisterNodeHandler(NodeId id) {
@@ -129,7 +112,7 @@ std::vector<NodeId> World::CreateCluster(size_t n, KeyRange range) {
     };
     nodes_[id] = std::make_unique<core::Node>(
         id, node_opts, genesis, Rng(Mix64(opts_.seed, 0xabc0 + id)),
-        std::move(send), MakeStorage(id, /*fresh_instance=*/false));
+        std::move(send), MakeStorage(id));
     RegisterNodeHandler(id);
     ScheduleTick(id);
   }
@@ -152,7 +135,7 @@ NodeId World::CreateSpareNode() {
   };
   nodes_[id] = std::make_unique<core::Node>(
       id, node_opts, genesis, Rng(Mix64(opts_.seed, 0xabc0 + id)),
-      std::move(send), MakeStorage(id, /*fresh_instance=*/false));
+      std::move(send), MakeStorage(id));
   RegisterNodeHandler(id);
   ScheduleTick(id);
   return id;
@@ -293,11 +276,11 @@ Status World::CrashNode(NodeId id, const storage::CrashSpec& spec) {
   node(id).OnCrash();
   ++node_gen_[id];  // kills the tick chain at its next firing
   // Mangle the in-flight (unacknowledged) writes per the crash spec, then
-  // destroy every byte of volatile state. In WAL mode the storage instance
-  // dies too: recovery must reparse the disk, not reuse a live model.
+  // destroy every byte of volatile state. The storage instance dies too:
+  // recovery must reparse the disk, not reuse a live model.
   if (auto it = storages_.find(id); it != storages_.end()) {
     it->second->Crash(spec);
-    if (opts_.storage == StorageMode::kWal) storages_.erase(it);
+    storages_.erase(it);
   }
   nodes_.erase(id);
   return OkStatus();
@@ -308,8 +291,9 @@ Status World::RestartNode(NodeId id) {
     return Rejected("RestartNode needs a storage mode");
   }
   if (HasNode(id)) return Rejected("node is up; use Restart for soft faults");
-  bool known = storages_.count(id) > 0 || disks_.count(id) > 0;
-  if (!known) return NotFound("node " + std::to_string(id) + " never existed");
+  if (disks_.count(id) == 0) {
+    return NotFound("node " + std::to_string(id) + " never existed");
+  }
   net_.Restart(id);
   core::Options node_opts = opts_.node;
   if (opts_.with_naming_service) node_opts.naming_service = kNamingServiceId;
@@ -320,7 +304,7 @@ Status World::RestartNode(NodeId id) {
   // the same election jitter, different incarnations must not correlate.
   uint64_t gen = ++node_gen_[id];
   nodes_[id] = std::make_unique<core::Node>(
-      id, node_opts, MakeStorage(id, /*fresh_instance=*/true),
+      id, node_opts, MakeStorage(id),
       Rng(Mix64(opts_.seed, 0xb007'0000ull + id + (gen << 16))),
       std::move(send));
   RegisterNodeHandler(id);

@@ -33,9 +33,8 @@ inline constexpr NodeId kFirstClientId = 1000;
 
 /// What backs each node's durable state.
 enum class StorageMode {
-  kNone = 0,   // purely volatile nodes (the historical behavior)
-  kInMemory,   // InMemoryStorage: boot-from-storage without byte modeling
-  kWal,        // WalStorage over a per-node SimDisk (crash injection works)
+  kNone = 0,  // purely volatile nodes (the historical behavior)
+  kWal,       // WalStorage over a per-node SimDisk (CrashNode/RestartNode)
 };
 
 struct WorldOptions {
@@ -127,8 +126,8 @@ class World {
 
   /// Hard crash: destroy the node object entirely — every byte of volatile
   /// state is gone — applying `spec` to its not-yet-durable writes (torn
-  /// tail, partial batch, ...). Requires a storage mode. The durable medium
-  /// (SimDisk / InMemoryStorage) survives for RestartNode.
+  /// tail, partial batch, ...). Requires kWal. The node's SimDisk survives
+  /// for RestartNode; its WalStorage instance does not.
   Status CrashNode(NodeId id, const storage::CrashSpec& spec = {});
   /// Rebuild a CrashNode'd node purely from its durable medium (WAL replay,
   /// snapshot load, merge-exchange resumption) and rejoin it to the world.
@@ -229,9 +228,9 @@ class World {
  private:
   void ScheduleTick(NodeId id);
   void TickNode(NodeId id, uint64_t gen);
-  /// Create (or re-create, for WAL reboots) the storage backend for `id`.
-  /// Returns null in kNone mode.
-  storage::Storage* MakeStorage(NodeId id, bool fresh_instance);
+  /// Create a fresh storage backend for `id` over its (possibly existing)
+  /// disk. Returns null in kNone mode.
+  storage::Storage* MakeStorage(NodeId id);
   void RegisterNodeHandler(NodeId id);
   Result<raft::ClientReply> CallLeader(const std::vector<NodeId>& members,
                                        raft::ClientBody body,
@@ -249,11 +248,11 @@ class World {
   NamingService naming_;
   shard::ShardMap shard_map_;
   // Durable media outlive node objects: disks (kWal) persist for the whole
-  // run; storages_ holds the live backend per node (replaced on WAL reboot
+  // run; storages_ holds the live backend per node (a fresh one per boot,
   // so recovery genuinely reparses disk bytes). Declared before nodes_ so
   // nodes (which hold raw Storage pointers) are destroyed first.
   std::map<NodeId, std::shared_ptr<storage::SimDisk>> disks_;
-  std::map<NodeId, storage::StoragePtr> storages_;
+  std::map<NodeId, std::unique_ptr<storage::WalStorage>> storages_;
   std::map<NodeId, std::unique_ptr<core::Node>> nodes_;
   /// Incarnation counter per node: stale tick chains from before a
   /// CrashNode notice the bump and die off.

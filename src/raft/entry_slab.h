@@ -20,10 +20,10 @@
 //     spanning slabs). This is what RaftLog::Slice returns and what
 //     AppendEntries / PullReply carry: building one copies a couple of
 //     segment descriptors, never entries.
-//   * EntryList  — the growable segmented list behind RaftLog and the storage
-//     mirrors: PushOwned fills a tail slab the list allocates, PushShared
-//     adopts another list's slab by reference (the zero-copy path from
-//     RaftLog into InMemoryStorage / WalStorage's model).
+//   * EntryList  — the growable segmented list behind RaftLog and the
+//     storage mirror: PushOwned fills a tail slab the list allocates,
+//     PushShared adopts another list's slab by reference (the zero-copy
+//     path from RaftLog into WalStorage's model).
 #pragma once
 
 #include <algorithm>

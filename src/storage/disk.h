@@ -1,14 +1,17 @@
 // The durable-medium seam under WalStorage. A Disk holds named byte files,
 // each with a durable region and a pending (written-but-not-yet-synced)
-// region; Flush() is the durability barrier. Two implementations:
+// region; Flush() is the durability barrier. The seam itself holds no
+// bytes: writers hand bytes down, and only boot-time recovery reads them
+// back (ReadDurable, by value). Two implementations:
 //
 //   * SimDisk (sim_disk.h)   — deterministic in-memory model with injectable
 //     crash points, latency spikes and fsync stalls; what every simulated
 //     world runs on.
 //   * FileDisk (file_disk.h) — real files in a directory via
-//     write/fdatasync, for the recraftd deployment mode; "crashing" a
-//     FileDisk is SIGKILLing the process, which loses the page-cache
-//     pending region exactly as the model prescribes.
+//     write/fdatasync, for the recraftd deployment mode; it keeps no copy
+//     of file contents. "Crashing" a FileDisk is SIGKILLing the process,
+//     which loses the page-cache pending region exactly as the model
+//     prescribes.
 //
 // WalStorage is written against this interface only; it decides *when* to
 // flush (group commit, vote barriers), the Disk decides *what that costs*.
@@ -52,13 +55,10 @@ class Disk {
 
   virtual void Delete(const std::string& file) = 0;
   virtual bool Exists(const std::string& file) const = 0;
-  /// Durable contents (pending bytes are invisible to readers — recovery
-  /// only ever sees what survived a crash). The reference stays valid until
-  /// the next mutation of the same file.
-  virtual const std::vector<uint8_t>& ReadDurable(
-      const std::string& file) const = 0;
-  virtual size_t DurableSize(const std::string& file) const = 0;
-  virtual size_t PendingSize(const std::string& file) const = 0;
+  /// Durable contents, read at boot (pending bytes are invisible to
+  /// readers — recovery only ever sees what survived a crash). Empty for a
+  /// missing file.
+  virtual std::vector<uint8_t> ReadDurable(const std::string& file) const = 0;
   virtual std::vector<std::string> List(const std::string& prefix) const = 0;
 
   /// Truncate a file's durable contents to `len` bytes, durably. Recovery

@@ -6,6 +6,7 @@
 #include <sys/types.h>
 #include <unistd.h>
 
+#include <cassert>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -15,8 +16,6 @@
 #include "common/logging.h"
 
 namespace recraft::storage {
-
-const std::vector<uint8_t> FileDisk::kEmpty;
 
 namespace {
 
@@ -77,9 +76,7 @@ FileDisk::FileDisk(std::string dir) : dir_(std::move(dir)) {
       ::unlink(PathOf(name).c_str());
       continue;
     }
-    File f;
-    f.durable = ReadFully(PathOf(name));
-    files_.emplace(std::move(name), std::move(f));
+    files_.emplace(std::move(name), File{});
   }
   ::closedir(d);
 }
@@ -96,11 +93,16 @@ std::string FileDisk::PathOf(const std::string& file) const {
 }
 
 FileDisk::File& FileDisk::OpenForAppend(const std::string& file) {
-  File& f = files_[file];
+  auto [it, created] = files_.try_emplace(file);
+  File& f = it->second;
   if (f.fd < 0) {
     f.fd = ::open(PathOf(file).c_str(),
                   O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC, 0644);
     if (f.fd < 0) DieErrno("open", PathOf(file));
+    // A new file's directory entry is not covered by fdatasync on the
+    // file: sync it now, or a power loss could drop the whole file along
+    // with every record later acked from it.
+    if (created) SyncDir();
   }
   return f;
 }
@@ -109,7 +111,7 @@ void FileDisk::Append(const std::string& file,
                       const std::vector<uint8_t>& bytes) {
   File& f = OpenForAppend(file);
   WriteFully(f.fd, bytes.data(), bytes.size(), PathOf(file));
-  f.pending.insert(f.pending.end(), bytes.begin(), bytes.end());
+  f.pending += bytes.size();
   stats_.appended_bytes += bytes.size();
 }
 
@@ -119,9 +121,8 @@ void FileDisk::Flush(const std::string& file) {
   File& f = it->second;
   if (f.fd >= 0 && ::fdatasync(f.fd) != 0) DieErrno("fdatasync", PathOf(file));
   ++stats_.flushes;
-  stats_.flushed_bytes += f.pending.size();
-  f.durable.insert(f.durable.end(), f.pending.begin(), f.pending.end());
-  f.pending.clear();
+  stats_.flushed_bytes += f.pending;
+  f.pending = 0;
 }
 
 void FileDisk::WriteAtomic(const std::string& file,
@@ -143,10 +144,9 @@ void FileDisk::WriteAtomic(const std::string& file,
     ::close(f.fd);
     f.fd = -1;
   }
-  f.durable = std::move(bytes);
-  f.pending.clear();
+  f.pending = 0;
   ++stats_.atomic_writes;
-  stats_.flushed_bytes += f.durable.size();
+  stats_.flushed_bytes += bytes.size();
 }
 
 void FileDisk::Delete(const std::string& file) {
@@ -164,19 +164,13 @@ bool FileDisk::Exists(const std::string& file) const {
   return files_.count(file) > 0;
 }
 
-const std::vector<uint8_t>& FileDisk::ReadDurable(
-    const std::string& file) const {
+std::vector<uint8_t> FileDisk::ReadDurable(const std::string& file) const {
   auto it = files_.find(file);
-  return it == files_.end() ? kEmpty : it->second.durable;
-}
-
-size_t FileDisk::DurableSize(const std::string& file) const {
-  return ReadDurable(file).size();
-}
-
-size_t FileDisk::PendingSize(const std::string& file) const {
-  auto it = files_.find(file);
-  return it == files_.end() ? 0 : it->second.pending.size();
+  if (it == files_.end()) return {};
+  // Boot reads happen before any append: unsynced bytes here would be read
+  // back as durable.
+  assert(it->second.pending == 0);
+  return ReadFully(PathOf(file));
 }
 
 std::vector<std::string> FileDisk::List(const std::string& prefix) const {
@@ -201,16 +195,14 @@ void FileDisk::TruncateDurable(const std::string& file, size_t len) {
     DieErrno("truncate", PathOf(file));
   }
   int fd = ::open(PathOf(file).c_str(), O_WRONLY | O_CLOEXEC);
-  if (fd >= 0) {
-    ::fdatasync(fd);
-    ::close(fd);
-  }
-  if (f.durable.size() > len) f.durable.resize(len);
-  f.pending.clear();
+  if (fd < 0) DieErrno("open", PathOf(file));
+  if (::fdatasync(fd) != 0) DieErrno("fdatasync", PathOf(file));
+  ::close(fd);
+  f.pending = 0;
 }
 
 void FileDisk::SyncDir() {
-  if (dir_fd_ >= 0) ::fsync(dir_fd_);
+  if (::fsync(dir_fd_) != 0) DieErrno("fsync", dir_);
 }
 
 }  // namespace recraft::storage

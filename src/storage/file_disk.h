@@ -4,13 +4,15 @@
 // the kernel may or may not have persisted when the process dies), Flush is
 // fdatasync (the durability barrier WalStorage's group commit and vote
 // barriers rely on), WriteAtomic is write-temp + fdatasync + rename +
-// directory fsync.
+// directory fsync. The first Append to a file this disk did not know
+// fsyncs the directory too, so the new file's name is as durable as the
+// first records synced into it.
 //
-// Construction scans the directory and caches every file's on-disk
-// contents as the durable region: after a kill -9, whatever the kernel
-// retained IS the durable truth, and WalStorage's CRC-framed replay drops
-// any torn tail. The cache makes ReadDurable free and is kept in sync by
-// the write path (this process is the file's only writer).
+// FileDisk holds no file bytes: per file it keeps an append fd and a count
+// of unsynced bytes. Construction only records the directory's file names;
+// ReadDurable reads the file itself, at boot. After a kill -9, whatever the
+// kernel retained IS the durable truth, and WalStorage's CRC-framed replay
+// drops any torn tail.
 //
 // Deliberately synchronous and single-threaded, like everything below the
 // net:: seam — recraftd's poll loop is the only caller. File names are the
@@ -29,8 +31,8 @@ namespace recraft::storage {
 
 class FileDisk final : public Disk {
  public:
-  /// Creates `dir` if missing and loads every existing file into the
-  /// durable cache. Fatal-logs and aborts on I/O errors — a node that
+  /// Creates `dir` if missing, records the names of its files and unlinks
+  /// ".tmp" orphans. Fatal-logs and aborts on I/O errors — a node that
   /// cannot trust its disk must not serve.
   explicit FileDisk(std::string dir);
   ~FileDisk() override;
@@ -45,10 +47,9 @@ class FileDisk final : public Disk {
                    std::vector<uint8_t> bytes) override;
   void Delete(const std::string& file) override;
   bool Exists(const std::string& file) const override;
-  const std::vector<uint8_t>& ReadDurable(
-      const std::string& file) const override;
-  size_t DurableSize(const std::string& file) const override;
-  size_t PendingSize(const std::string& file) const override;
+  /// Reads the file from disk. Boot-time only: the file must have no
+  /// unsynced appends.
+  std::vector<uint8_t> ReadDurable(const std::string& file) const override;
   std::vector<std::string> List(const std::string& prefix) const override;
   void TruncateDurable(const std::string& file, size_t len) override;
 
@@ -57,9 +58,8 @@ class FileDisk final : public Disk {
 
  private:
   struct File {
-    std::vector<uint8_t> durable;  // bytes covered by the last fdatasync
-    std::vector<uint8_t> pending;  // written-but-not-yet-synced tail bytes
-    int fd = -1;                   // append handle, opened lazily
+    int fd = -1;         // append handle, opened lazily
+    size_t pending = 0;  // bytes written since the last fdatasync
   };
 
   std::string PathOf(const std::string& file) const;
@@ -70,7 +70,6 @@ class FileDisk final : public Disk {
   int dir_fd_ = -1;
   std::map<std::string, File> files_;
   Stats stats_;
-  static const std::vector<uint8_t> kEmpty;
 };
 
 }  // namespace recraft::storage

@@ -5,8 +5,6 @@
 
 namespace recraft::storage {
 
-const std::vector<uint8_t> SimDisk::kEmpty{};
-
 void SimDisk::ChargeWrite(size_t bytes) {
   stats_.io_busy += opts_.fsync_latency + extra_fsync_latency_;
   if (opts_.throughput_bytes_per_sec > 0) {
@@ -49,10 +47,9 @@ bool SimDisk::Exists(const std::string& file) const {
   return files_.count(file) > 0;
 }
 
-const std::vector<uint8_t>& SimDisk::ReadDurable(
-    const std::string& file) const {
+std::vector<uint8_t> SimDisk::ReadDurable(const std::string& file) const {
   auto it = files_.find(file);
-  return it == files_.end() ? kEmpty : it->second.durable;
+  return it == files_.end() ? std::vector<uint8_t>{} : it->second.durable;
 }
 
 size_t SimDisk::DurableSize(const std::string& file) const {

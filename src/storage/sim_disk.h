@@ -50,11 +50,11 @@ class SimDisk final : public Disk {
   bool Exists(const std::string& file) const override;
   /// Durable contents (pending bytes are invisible to readers — recovery
   /// only ever sees what survived the crash).
-  const std::vector<uint8_t>& ReadDurable(
-      const std::string& file) const override;
-  size_t DurableSize(const std::string& file) const override;
-  size_t PendingSize(const std::string& file) const override;
+  std::vector<uint8_t> ReadDurable(const std::string& file) const override;
   std::vector<std::string> List(const std::string& prefix) const override;
+  /// Sizes of a file's two regions (tests, benches, crash injection).
+  size_t DurableSize(const std::string& file) const;
+  size_t PendingSize(const std::string& file) const;
 
   // --- latency injection (nemesis hooks) ----------------------------------
   /// Add `extra` microseconds to every fsync completion (a disk-latency
@@ -104,7 +104,6 @@ class SimDisk final : public Disk {
   Stats stats_;
   Duration extra_fsync_latency_ = 0;
   bool fsync_stalled_ = false;
-  static const std::vector<uint8_t> kEmpty;
 };
 
 }  // namespace recraft::storage

@@ -2,14 +2,10 @@
 // node must be able to rebuild after losing all volatile state — hard state
 // (term / vote / commit), the log, the compaction snapshot, the sealed
 // merge-exchange snapshots, and the exchange runtime metadata — flows
-// through this interface. Two backends:
-//
-//   * InMemoryStorage — the "durable medium" is the object itself. No
-//     serialization, no latency; used to exercise the boot-from-storage
-//     path (World::CrashNode / RestartNode) without byte-level modeling.
-//   * WalStorage      — group-committed, write-batched records over a
-//     deterministic SimDisk, with CRC-framed replay and injectable crash
-//     points (wal_storage.h).
+// through this interface. It has one backend, WalStorage (wal_storage.h):
+// group-committed, CRC-framed records over a Disk — SimDisk in simulated
+// worlds, FileDisk under recraftd. The interface stays so the consensus
+// core does not depend on the WAL's clock and recorder.
 //
 // Durability contract the node relies on:
 //   - DurableIndex(): log entries at or below it survive any crash. The
@@ -78,28 +74,6 @@ struct BootImage {
   ExchangeMeta exchange;
 };
 
-/// Deterministic crash points for fault injection. All of them model what a
-/// real disk can do to writes that were *in flight* (never acknowledged) at
-/// the moment of the crash.
-enum class CrashPoint : uint8_t {
-  /// Pending (unflushed) bytes are lost cleanly at a batch boundary.
-  kLosePending = 0,
-  /// The tail record of the in-flight batch reaches the platter half-way:
-  /// recovery must detect the torn record (CRC) and discard it.
-  kTornTail,
-  /// A whole-record prefix of the in-flight batch survives, the rest is
-  /// lost: recovery accepts exactly the surviving records.
-  kPartialBatch,
-  /// The snapshot blob is durable but the WAL marker tying the log to it is
-  /// lost (crash between snapshot install and log truncation): recovery
-  /// must fall back to the previous snapshot + the longer log.
-  kSnapLogDivergence,
-};
-
-struct CrashSpec {
-  CrashPoint point = CrashPoint::kLosePending;
-};
-
 class Storage : public raft::LogSink {
  public:
   ~Storage() override = default;
@@ -129,11 +103,6 @@ class Storage : public raft::LogSink {
   /// Force pending writes durable now (tests, benches).
   virtual void Sync() = 0;
 
-  /// Apply a crash: discard or mangle not-yet-durable writes per the spec.
-  /// The instance is dead afterwards; recovery opens a fresh one over the
-  /// same medium.
-  virtual void Crash(const CrashSpec& spec) = 0;
-
   /// Invoked from the top of the event loop whenever DurableIndex advances
   /// asynchronously (a group-commit flush completed). Never invoked
   /// synchronously from inside a mutation call.
@@ -143,45 +112,6 @@ class Storage : public raft::LogSink {
 
  protected:
   std::function<void()> durable_cb_;
-};
-
-using StoragePtr = std::unique_ptr<Storage>;
-
-/// Storage whose durable medium is the object itself: state survives the
-/// *node* object's destruction (World::CrashNode) but not the process. No
-/// batching — everything is durable the moment the call returns, so
-/// DurableIndex always equals the log end and the node's ack gating
-/// collapses to the in-memory fast path.
-class InMemoryStorage final : public Storage {
- public:
-  // LogSink. Appends adopt the log's slab slot by reference — the "durable
-  // medium" mirrors the same immutable slots the log cache points at.
-  void OnLogAppend(const raft::EntryRef& e) override;
-  void OnLogTruncateFrom(Index i) override;
-  void OnLogCompactTo(Index i, uint64_t term) override;
-  void OnLogReset(Index base, uint64_t term) override;
-
-  void PersistHardState(const HardState& hs) override;
-  void InstallSnapshot(const raft::RaftSnapshotPtr& snap) override;
-  void PersistSealed(TxId tx, int source,
-                     const sm::SnapshotPtr& snap) override;
-  void PruneSealed(TxId tx) override;
-  void PersistExchangeMeta(const ExchangeMeta& meta) override;
-  void WipeAll() override;
-  Result<BootImage> Load() override;
-  Index DurableIndex() const override;
-  void Sync() override {}
-  void Crash(const CrashSpec& spec) override;
-
- private:
-  bool present_ = false;
-  HardState hard_;
-  raft::RaftSnapshotPtr snap_;
-  Index base_index_ = 0;
-  uint64_t base_term_ = 0;
-  raft::EntryList entries_;
-  std::map<std::pair<TxId, int>, sm::SnapshotPtr> sealed_;
-  ExchangeMeta meta_;
 };
 
 }  // namespace recraft::storage

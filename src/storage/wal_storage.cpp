@@ -330,7 +330,7 @@ void WalStorage::Crash(const CrashSpec& spec) {
   // crashes by dying (SIGKILL) and the kernel decides what survived.
   auto* sim = dynamic_cast<SimDisk*>(disk_.get());
   if (sim == nullptr) return;
-  const size_t pending_bytes = disk_->PendingSize(kWalFile);
+  const size_t pending_bytes = sim->PendingSize(kWalFile);
   const size_t pending_start = wal_len_ - pending_bytes;
   switch (spec.point) {
     case CrashPoint::kLosePending:
@@ -504,7 +504,7 @@ void WalStorage::ReplayWal(const std::vector<uint8_t>& bytes, Model* model) {
 }
 
 Result<BootImage> WalStorage::Load() {
-  const std::vector<uint8_t>& bytes = disk_->ReadDurable(kWalFile);
+  const std::vector<uint8_t> bytes = disk_->ReadDurable(kWalFile);
   Model m;
   ReplayWal(bytes, &m);
   const size_t replayable = bytes.size() - stats_.dropped_tail_bytes;
@@ -527,7 +527,7 @@ Result<BootImage> WalStorage::Load() {
   raft::RaftSnapshotPtr snap;
   uint32_t gen = m.snap_gen;
   while (gen > 0) {
-    const auto& blob = disk_->ReadDurable(SnapFile(gen));
+    const std::vector<uint8_t> blob = disk_->ReadDurable(SnapFile(gen));
     if (!blob.empty()) {
       Decoder dec(blob);
       auto decoded = DecodeRaftSnapshot(dec);
@@ -545,7 +545,7 @@ Result<BootImage> WalStorage::Load() {
     return Internal("wal: no readable snapshot blob for gen " +
                     std::to_string(m.snap_gen));
   }
-  if (snap == nullptr && bytes.empty()) {
+  if (snap == nullptr && replayable == 0) {
     // Empty (or fully torn) WAL: fall back to the newest readable blob so
     // a divergence injection right after a checkpoint cannot cause total
     // amnesia.
@@ -555,7 +555,7 @@ Result<BootImage> WalStorage::Load() {
                                 std::strtoul(name.c_str() + 5, nullptr, 10)));
     }
     while (best > 0) {
-      const auto& blob = disk_->ReadDurable(SnapFile(best));
+      const std::vector<uint8_t> blob = disk_->ReadDurable(SnapFile(best));
       Decoder dec(blob);
       auto decoded = DecodeRaftSnapshot(dec);
       if (!blob.empty() && decoded.ok()) {
@@ -588,7 +588,7 @@ Result<BootImage> WalStorage::Load() {
     unsigned long long tx = 0;
     int src = -1;
     if (std::sscanf(name.c_str(), "seal-%llu-%d", &tx, &src) != 2) continue;
-    const auto& blob = disk_->ReadDurable(name);
+    const std::vector<uint8_t> blob = disk_->ReadDurable(name);
     Decoder dec(blob);
     auto decoded = DecodeSmSnapshot(dec);
     if (!decoded.ok()) continue;  // corrupt seal: peers still hold copies
@@ -598,7 +598,7 @@ Result<BootImage> WalStorage::Load() {
 
   // Exchange runtime metadata.
   if (disk_->Exists(kExMetaFile)) {
-    const auto& blob = disk_->ReadDurable(kExMetaFile);
+    const std::vector<uint8_t> blob = disk_->ReadDurable(kExMetaFile);
     Decoder dec(blob);
     auto has_plan = dec.GetBool();
     if (has_plan.ok()) {

@@ -40,6 +40,28 @@
 
 namespace recraft::storage {
 
+/// Deterministic crash points for fault injection. All of them model what a
+/// real disk can do to writes that were *in flight* (never acknowledged) at
+/// the moment of the crash.
+enum class CrashPoint : uint8_t {
+  /// Pending (unflushed) bytes are lost cleanly at a batch boundary.
+  kLosePending = 0,
+  /// The tail record of the in-flight batch reaches the platter half-way:
+  /// recovery must detect the torn record (CRC) and discard it.
+  kTornTail,
+  /// A whole-record prefix of the in-flight batch survives, the rest is
+  /// lost: recovery accepts exactly the surviving records.
+  kPartialBatch,
+  /// The snapshot blob is durable but the WAL marker tying the log to it is
+  /// lost (crash between snapshot install and log truncation): recovery
+  /// must fall back to the previous snapshot + the longer log.
+  kSnapLogDivergence,
+};
+
+struct CrashSpec {
+  CrashPoint point = CrashPoint::kLosePending;
+};
+
 class WalStorage final : public Storage {
  public:
   struct Options {
@@ -95,7 +117,12 @@ class WalStorage final : public Storage {
   Result<BootImage> Load() override;
   Index DurableIndex() const override;
   void Sync() override;
-  void Crash(const CrashSpec& spec) override;
+
+  /// Apply a crash: discard or mangle not-yet-durable writes per the spec.
+  /// The instance is dead afterwards; recovery opens a fresh one over the
+  /// same medium. Injection needs a SimDisk; over any other Disk this only
+  /// cancels the flush timer.
+  void Crash(const CrashSpec& spec);
 
   const Stats& stats() const { return stats_; }
   const Disk& disk() const { return *disk_; }

@@ -391,24 +391,5 @@ TEST(CrashChaos, EveryNodeCrashesMidReconfigAndRecovers) {
   }
 }
 
-TEST(CrashChaos, InMemoryStorageModeBootsNodesToo) {
-  // The same boot path without byte modeling: InMemoryStorage survives the
-  // node object's destruction.
-  WorldOptions o = TestWorldOptions(108);
-  o.storage = harness::StorageMode::kInMemory;
-  World w(o);
-  auto c = w.CreateCluster(3);
-  ASSERT_TRUE(w.WaitForLeader(c));
-  for (int i = 0; i < 6; ++i) {
-    ASSERT_TRUE(w.Put(c, "k" + std::to_string(i), "v").ok());
-  }
-  w.RunFor(50 * kMillisecond);  // commit index reaches the followers
-  NodeId victim = c[0] == w.LeaderOf(c) ? c[1] : c[0];
-  ASSERT_TRUE(w.CrashNode(victim).ok());
-  ASSERT_TRUE(w.RestartNode(victim).ok());
-  EXPECT_EQ(harness::KvStoreOf(w.node(victim)).size(), 6u);
-  ExpectConverged(w, c);
-}
-
 }  // namespace
 }  // namespace recraft::test

@@ -336,7 +336,7 @@ TEST(ShardPlane, DriverSurvivesHardCrashedShardDuringRebalance) {
   // whose split pass (dead shard is the biggest) and merge pass (dead
   // shards are the coldest pair) both try to touch it.
   auto opts = TestWorldOptions(26);
-  opts.storage = harness::StorageMode::kInMemory;  // enables CrashNode
+  opts.storage = harness::StorageMode::kWal;  // enables CrashNode
   World w(opts);
   auto ids = w.BootstrapShards(3, 3, shard::UniformKeyBoundaries("k", 900, 3));
   ASSERT_TRUE(ids.ok());

@@ -269,7 +269,7 @@ Result<raft::ClientReply> QueueCall(World& w,
 TEST(QueueWorld, SplitMergeCrashIntegration) {
   auto opts = TestWorldOptions(31);
   opts.node.machine_factory = sm::QueueMachineFactory();
-  opts.storage = harness::StorageMode::kInMemory;  // enables CrashNode
+  opts.storage = harness::StorageMode::kWal;  // enables CrashNode
   World w(opts);
   harness::SafetyChecker checker(w);
   checker.AttachPeriodic();

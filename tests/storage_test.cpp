@@ -1,15 +1,22 @@
 // The persistence subsystem in isolation: durable-format round trips,
-// SimDisk pending/durable semantics, WAL replay, group commit, checkpoint
-// rewrite, and the parameterized crash-point matrix (torn tail, partial
-// batch, snapshot/log divergence, double crash during replay).
+// SimDisk pending/durable semantics, WAL replay over SimDisk and FileDisk,
+// group commit, checkpoint rewrite, and the parameterized crash-point
+// matrix (torn tail, partial batch, snapshot/log divergence, double crash
+// during replay).
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <filesystem>
+#include <fstream>
 
 #include "kv/kv_machine.h"
 #include "kv/service.h"
 #include "storage/codec.h"
+#include "storage/file_disk.h"
 #include "storage/sim_disk.h"
 #include "storage/storage.h"
 #include "storage/wal_storage.h"
+#include "tests/test_util.h"
 
 namespace recraft::storage {
 namespace {
@@ -269,13 +276,29 @@ TEST(SimDisk, AtomicWritesAreImmediatelyDurableAndCharged) {
 }
 
 // ---------------------------------------------------------------------------
-// WalStorage basics (synchronous flush mode).
+// WalStorage recovery over both Disk backends (synchronous flush mode).
+// Reopen() is a reboot's view of the node's disk: the same SimDisk object,
+// or a new FileDisk on the same directory that reads every byte back from
+// the file system.
 
-TEST(WalStorage, StateRoundTripsThroughRecovery) {
-  auto disk = std::make_shared<SimDisk>();
+enum class DiskKind { kSim, kFile };
+
+class WalOverDisk : public ::testing::TestWithParam<DiskKind> {
+ protected:
+  std::shared_ptr<Disk> Reopen() {
+    if (GetParam() == DiskKind::kSim) return sim_;
+    return std::make_shared<FileDisk>(dir_.path());
+  }
+
+ private:
+  std::shared_ptr<SimDisk> sim_ = std::make_shared<SimDisk>();
+  test::TempDir dir_;
+};
+
+TEST_P(WalOverDisk, StateRoundTripsThroughRecovery) {
   WalStorage::Options wopts;  // flush_interval = 0: synchronous
   {
-    WalStorage wal(disk, nullptr, wopts);
+    WalStorage wal(Reopen(), nullptr, wopts);
     wal.PersistHardState(HardState{5, 2, 3});
     for (Index i = 1; i <= 5; ++i) {
       wal.OnLogAppend(KvEntry(i, 5, "k" + std::to_string(i), "v"));
@@ -298,7 +321,7 @@ TEST(WalStorage, StateRoundTripsThroughRecovery) {
     meta.gc.push_back(gc);
     wal.PersistExchangeMeta(meta);
   }
-  WalStorage fresh(disk, nullptr, wopts);
+  WalStorage fresh(Reopen(), nullptr, wopts);
   auto img = fresh.Load();
   ASSERT_TRUE(img.ok());
   EXPECT_TRUE(img->present);
@@ -352,11 +375,10 @@ TEST(WalStorage, RecordFramingIsPinned) {
             "1b000000");            // wire hint
 }
 
-TEST(WalStorage, SnapshotInstallAndCompactionSurviveRecovery) {
-  auto disk = std::make_shared<SimDisk>();
+TEST_P(WalOverDisk, SnapshotInstallAndCompactionSurviveRecovery) {
   WalStorage::Options wopts;
   {
-    WalStorage wal(disk, nullptr, wopts);
+    WalStorage wal(Reopen(), nullptr, wopts);
     for (Index i = 1; i <= 10; ++i) {
       wal.OnLogAppend(KvEntry(i, 1, "k" + std::to_string(i), "v"));
     }
@@ -373,7 +395,7 @@ TEST(WalStorage, SnapshotInstallAndCompactionSurviveRecovery) {
     wal.OnLogCompactTo(8, 1);
     wal.Sync();
   }
-  WalStorage fresh(disk, nullptr, wopts);
+  WalStorage fresh(Reopen(), nullptr, wopts);
   auto img = fresh.Load();
   ASSERT_TRUE(img.ok());
   ASSERT_NE(img->snap, nullptr);
@@ -420,11 +442,10 @@ TEST(WalStorage, VoteChangesFlushSynchronouslyEvenWhenBatched) {
   EXPECT_EQ(img->hard.commit, 0u);
 }
 
-TEST(WalStorage, CheckpointRewriteBoundsTheWalFile) {
-  auto disk = std::make_shared<SimDisk>();
+TEST_P(WalOverDisk, CheckpointRewriteBoundsTheWalFile) {
   WalStorage::Options wopts;
   wopts.rewrite_slack_bytes = 4 * 1024;
-  WalStorage wal(disk, nullptr, wopts);
+  WalStorage wal(Reopen(), nullptr, wopts);
   std::string big(128, 'x');
   Index next = 1;
   for (int round = 0; round < 40; ++round) {
@@ -443,13 +464,76 @@ TEST(WalStorage, CheckpointRewriteBoundsTheWalFile) {
   EXPECT_LT(wal.wal_file_bytes(), 8u * 1024u);
   // And the rewritten WAL still recovers.
   wal.Sync();
-  WalStorage fresh(disk, nullptr, wopts);
+  WalStorage fresh(Reopen(), nullptr, wopts);
   auto img = fresh.Load();
   ASSERT_TRUE(img.ok());
   EXPECT_EQ(img->base_index, next - 1);
   ASSERT_NE(img->snap, nullptr);
   EXPECT_EQ(img->snap->last_index, next - 1);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Disks, WalOverDisk, ::testing::Values(DiskKind::kSim, DiskKind::kFile),
+    [](const ::testing::TestParamInfo<DiskKind>& info) {
+      return info.param == DiskKind::kSim ? "SimDisk" : "FileDisk";
+    });
+
+// ---------------------------------------------------------------------------
+// FileDisk: what a reboot finds in the directory.
+
+TEST(FileDisk, TmpOrphanIsDiscardedAtConstruction) {
+  test::TempDir dir;
+  {
+    FileDisk disk(dir.path());
+    disk.WriteAtomic("snap-1", {1, 2, 3});
+  }
+  // A crash between WriteAtomic's temp write and its rename.
+  const std::string orphan = dir.path() + "/snap-2.tmp";
+  std::ofstream(orphan, std::ios::binary) << "half a blob";
+  ASSERT_TRUE(std::filesystem::exists(orphan));
+  FileDisk disk(dir.path());
+  EXPECT_FALSE(std::filesystem::exists(orphan));
+  EXPECT_EQ(disk.List(""), std::vector<std::string>{"snap-1"});
+  EXPECT_EQ(disk.ReadDurable("snap-1"), (std::vector<uint8_t>{1, 2, 3}));
+}
+
+TEST(FileDisk, ExternallyCutWalTailIsDroppedAndLaterAppendsSurvive) {
+  test::TempDir dir;
+  WalStorage::Options wopts;  // synchronous
+  {
+    WalStorage wal(std::make_shared<FileDisk>(dir.path()), nullptr, wopts);
+    ASSERT_TRUE(wal.Load().ok());
+    wal.PersistHardState(HardState{2, 1, 0});
+    for (Index i = 1; i <= 4; ++i) {
+      wal.OnLogAppend(KvEntry(i, 2, "k" + std::to_string(i), "v"));
+    }
+  }
+  // Cut the file mid-way through the last record, as a power loss can.
+  const std::string wal_path = dir.path() + "/wal";
+  const auto full = std::filesystem::file_size(wal_path);
+  ASSERT_EQ(::truncate(wal_path.c_str(), static_cast<off_t>(full - 5)), 0);
+  {
+    WalStorage wal(std::make_shared<FileDisk>(dir.path()), nullptr, wopts);
+    auto img = wal.Load();
+    ASSERT_TRUE(img.ok());
+    EXPECT_TRUE(wal.stats().tore_tail);
+    ASSERT_EQ(img->entries.size(), 3u);
+    EXPECT_LT(std::filesystem::file_size(wal_path), full - 5);  // cut
+    wal.OnLogAppend(KvEntry(4, 3, "k4b", "v2"));
+    wal.OnLogAppend(KvEntry(5, 3, "k5", "v"));
+  }
+  WalStorage wal(std::make_shared<FileDisk>(dir.path()), nullptr, wopts);
+  auto img = wal.Load();
+  ASSERT_TRUE(img.ok());
+  EXPECT_FALSE(wal.stats().tore_tail);
+  EXPECT_EQ(img->hard.term, 2u);
+  ASSERT_EQ(img->entries.size(), 5u);
+  EXPECT_EQ(img->entries.back().Describe(),
+            KvEntry(5, 3, "k5", "v").Describe());
+}
+
+// ---------------------------------------------------------------------------
+// WalStorage over SimDisk: bit rot.
 
 TEST(WalStorage, CorruptedMiddleRecordStopsReplayAtTheCorruption) {
   auto disk = std::make_shared<SimDisk>();
@@ -628,29 +712,6 @@ TEST(WalStorage, DoubleCrashDuringReplayIsIdempotent) {
   EXPECT_EQ(second->hard.term, first->hard.term);
   EXPECT_EQ(second->entries.size(), first->entries.size());
   EXPECT_EQ(second->entries.back().index, 6u);
-}
-
-// ---------------------------------------------------------------------------
-// InMemoryStorage: the boot-image contract without byte modeling.
-
-TEST(InMemoryStorage, RoundTripsTheBootImage) {
-  InMemoryStorage mem;
-  mem.PersistHardState(HardState{9, 4, 7});
-  for (Index i = 1; i <= 3; ++i) {
-    mem.OnLogAppend(KvEntry(i, 9, "k" + std::to_string(i), "v"));
-  }
-  mem.OnLogTruncateFrom(3);
-  EXPECT_EQ(mem.DurableIndex(), 2u);
-  auto img = mem.Load();
-  ASSERT_TRUE(img.ok());
-  EXPECT_TRUE(img->present);
-  EXPECT_EQ(img->hard.voted_for, 4u);
-  EXPECT_EQ(img->entries.size(), 2u);
-  mem.WipeAll();
-  auto blank = mem.Load();
-  ASSERT_TRUE(blank.ok());
-  EXPECT_FALSE(blank->present);
-  EXPECT_TRUE(blank->entries.empty());
 }
 
 }  // namespace

@@ -2,6 +2,10 @@
 #pragma once
 
 #include <gtest/gtest.h>
+#include <stdlib.h>
+
+#include <filesystem>
+#include <string>
 
 #include "harness/checkers.h"
 #include "harness/client.h"
@@ -52,5 +56,27 @@ inline void ExpectConverged(World& w, const std::vector<NodeId>& members,
       timeout);
   EXPECT_TRUE(ok) << "cluster did not converge";
 }
+
+/// A fresh directory under the test temp dir, removed with its contents on
+/// destruction (FileDisk tests).
+class TempDir {
+ public:
+  TempDir() {
+    std::string pattern = ::testing::TempDir() + "recraft-XXXXXX";
+    if (::mkdtemp(pattern.data()) == nullptr) ADD_FAILURE() << "mkdtemp";
+    path_ = pattern;
+  }
+  ~TempDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path_, ec);
+  }
+  TempDir(const TempDir&) = delete;
+  TempDir& operator=(const TempDir&) = delete;
+
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
 
 }  // namespace recraft::test
