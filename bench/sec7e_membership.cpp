@@ -32,11 +32,8 @@ bool Settled(harness::World& w, const std::vector<NodeId>& target,
   return w.RunUntil(
       [&]() {
         NodeId l = w.LeaderOf(goal);
-        if (l == kNoNode) return false;
-        const auto& n = w.node(l);
-        return n.config().members == goal && n.config().fixed_quorum == 0 &&
-               !n.config().ReconfigPending() &&
-               n.commit_index() >= n.log().last_index();
+        return l != kNoNode && w.node(l).config().members == goal &&
+               w.ConfigSettled(l);
       },
       timeout);
 }

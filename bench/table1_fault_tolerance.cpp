@@ -78,7 +78,7 @@ bool RunSplitWithCrashes(uint64_t seed, const char* phase,
         },
         5 * kSecond);
   }
-  for (NodeId v : pick_victims(s, leader)) w.Crash(v);
+  for (NodeId v : pick_victims(s, leader)) (void)w.Crash(v);
   w.RunUntil([&]() { return SplitCompleted(w, s.cluster); }, kVerdictWindow);
   return SplitCompleted(w, s.cluster);
 }
@@ -139,7 +139,7 @@ bool RunMergeWithCrashes(uint64_t seed, int crash_in_sub,
       5 * kSecond);
   const auto& sub = crash_in_sub == 0 ? c1 : c2;
   for (size_t i = 0; i < crash_count && i < sub.size(); ++i) {
-    w->Crash(sub[i]);
+    (void)w->Crash(sub[i]);
   }
   w->RunUntil([&]() { return MergeCompleted(*w, all); }, kVerdictWindow);
   return MergeCompleted(*w, all);
@@ -215,7 +215,7 @@ int main() {
     op.ranges = *KeyRange::Full().SplitAt(s.keys);
     tc::ClusterManager cm(*s.w, 800);
     cm.StartSplit(op);
-    s.w->Crash(800);
+    (void)s.w->Crash(800);
     s.w->RunUntil([&]() { return cm.done(); }, kVerdictWindow);
     std::printf("TC split, CM:      1 failure (the CM) -> %s (paper: 1)\n",
                 Verdict(cm.done()));
@@ -234,7 +234,7 @@ int main() {
     standby.StartSplit(op);
     primary.StartSplit(op);
     s.w->RunFor(100 * kMillisecond);
-    s.w->Crash(800);  // f_cm = 1 tolerated by the standby
+    (void)s.w->Crash(800);  // f_cm = 1 tolerated by the standby
     s.w->RunUntil([&]() { return standby.done(); }, 60 * kSecond);
     bool survived = standby.done();
     std::printf("TC split, CM-repl: primary CM crash -> %s via standby "

@@ -29,13 +29,13 @@ int main() {
 
   // 3. Kill the leader; the survivors elect a new one and keep serving.
   NodeId old_leader = world.LeaderOf(cluster);
-  world.Crash(old_leader);
+  (void)world.Crash(old_leader);
   std::printf("crashed leader n%u...\n", old_leader);
   world.WaitForLeader(cluster);
   std::printf("new leader: n%u\n", world.LeaderOf(cluster));
   world.Put(cluster, "still", "alive").ok();
   std::printf("still = %s\n", world.Get(cluster, "still")->c_str());
-  world.Restart(old_leader);
+  (void)world.Restart(old_leader);
 
   // 4. Grow to 5 nodes with ReCraft's AddAndResize — both nodes join in ONE
   //    consensus step (plus an automatic ResizeQuorum when needed).

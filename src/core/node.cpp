@@ -54,8 +54,6 @@ void Node::InternCounters() {
   cid_.recovery_pull_applied = counters_.Intern("recovery.pull_applied");
   cid_.recovery_install_snapshot = counters_.Intern("recovery.install_snapshot");
   cid_.recovery_exchange_resumed = counters_.Intern("recovery.exchange_resumed");
-  cid_.node_crash = counters_.Intern("node.crash");
-  cid_.node_restart = counters_.Intern("node.restart");
   cid_.node_reinit = counters_.Intern("node.reinit");
   cid_.node_boot = counters_.Intern("node.boot");
   cid_.node_boot_amnesia = counters_.Intern("node.boot_amnesia");
@@ -85,13 +83,12 @@ Node::Node(NodeId id, Options opts, raft::ConfigState genesis, Rng rng,
   assert(opts_.machine_factory &&
          "Options::machine_factory must be set (the harness installs the KV "
          "machine by default)");
+  assert(storage != nullptr && "a node needs a storage backend");
   machine_ = opts_.machine_factory(genesis.range);
   InternCounters();
-  if (storage_ != nullptr) {
-    storage_->SetDurableCallback([this]() { OnStorageDurable(); });
-    // Attached before the genesis append so the bootstrap entry is durable.
-    log_.Attach(storage_);
-  }
+  storage_->SetDurableCallback([this]() { OnStorageDurable(); });
+  // Attached before the genesis append so the bootstrap entry is durable.
+  log_.Attach(storage_);
   bool bootstrap = !genesis.members.empty();
   raft::ConfInit init;
   init.members = genesis.members;
@@ -125,9 +122,9 @@ Node::Node(NodeId id, Options opts, storage::Storage* storage, Rng rng,
       rng_(rng),
       storage_(storage) {
   assert(opts_.machine_factory && "Options::machine_factory must be set");
+  assert(storage != nullptr && "a node needs a storage backend");
   machine_ = opts_.machine_factory(KeyRange::Empty());
   InternCounters();
-  assert(storage_ != nullptr && "boot-from-storage needs a backend");
   storage_->SetDurableCallback([this]() { OnStorageDurable(); });
   BootFromStorage();  // recovery.cpp; attaches the log sink itself
   ResetElectionTimer();
@@ -137,7 +134,6 @@ Node::Node(NodeId id, Options opts, storage::Storage* storage, Rng rng,
 }
 
 void Node::MaybePersistHard() {
-  if (storage_ == nullptr) return;
   storage::HardState hs{term_, voted_for_, commit_};
   if (hs == persisted_hard_) return;
   persisted_hard_ = hs;
@@ -150,7 +146,6 @@ void Node::DropPendingAcks() {
 }
 
 void Node::OnStorageDurable() {
-  if (storage_ == nullptr) return;
   const Index durable = storage_->DurableIndex();
   while (!pending_acks_.empty()) {
     PendingAck& pa = pending_acks_.front();
@@ -407,50 +402,6 @@ void Node::Receive(NodeId from, const raft::Message& m, obs::TraceCtx ctx) {
   // before any message it sent can be delivered (delivery has latency, and
   // crash injection lands between events).
   MaybePersistHard();
-}
-
-void Node::OnCrash() {
-  counters_.Add(cid_.node_crash);
-  // The network already drops traffic; nothing to do here. State is kept as
-  // the "persisted" image.
-}
-
-void Node::OnRestart() {
-  counters_.Add(cid_.node_restart);
-  // Spans that were open at crash time never see their end; drop the ids so
-  // post-restart protocol runs open fresh spans. Must precede the exchange
-  // resumption below, which opens a new exchange span.
-  cur_ctx_ = obs::TraceCtx{};
-  election_span_ = 0;
-  split_span_ = 0;
-  merge_span_ = 0;
-  exchange_span_ = 0;
-  member_span_ = 0;
-  read_spans_.clear();
-  role_ = Role::kFollower;
-  leader_ = kNoNode;
-  votes_.clear();
-  ClearProgress();
-  pending_.clear();
-  pending_reads_.clear();
-  read_acked_.clear();
-  deferred_requests_.clear();
-  DropPendingAcks();
-  ResetElectionTimer();
-  // A coordinator mid-2PC recovers from its committed log when it next
-  // becomes leader (ResumeMergeAsLeader); forget the volatile runtime.
-  merge_ = MergeRuntime{};
-  // Snapshot exchange must resume: contacts and collected remote snapshots
-  // are volatile, the plan and our own snapshot are not.
-  if (exchange_.has_value()) {
-    raft::MergePlan plan = exchange_->plan;
-    exchange_.reset();
-    StartExchange(plan);
-  }
-  pull_target_ = kNoNode;
-  pull_countdown_ = 0;
-  silent_ticks_ = 0;
-  naming_query_inflight_ = false;
 }
 
 const KeyRange& Node::EffectiveRange() const {
@@ -785,10 +736,8 @@ void Node::Reinit(const raft::ConfigState& genesis, sm::SnapshotPtr data) {
   // Wipe the durable medium first: the node sheds its previous identity
   // entirely (the TC terminate step), then re-persists the new genesis
   // through the normal log/hard-state paths below.
-  if (storage_ != nullptr) {
-    storage_->WipeAll();
-    persisted_hard_ = storage::HardState{};
-  }
+  storage_->WipeAll();
+  persisted_hard_ = storage::HardState{};
   term_ = 0;
   voted_for_ = kNoNode;
   log_.Reset(0, 0);

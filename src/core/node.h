@@ -111,15 +111,15 @@ class Node {
 
   /// `genesis` must list the initial members (including `id` unless the node
   /// starts as a learner-to-be-added) with a valid range and uid. `storage`
-  /// (optional, non-owning, must outlive the node) receives every durable
+  /// (required, non-owning, must outlive the node) receives every durable
   /// mutation from the start — including the genesis entry.
   Node(NodeId id, Options opts, raft::ConfigState genesis, Rng rng,
-       SendFn send, storage::Storage* storage = nullptr);
+       SendFn send, storage::Storage* storage);
 
   /// Boot purely from durable state: replays `storage`'s WAL/snapshot into
   /// a fresh node (hard state, log, KV store, configuration, merge-exchange
   /// runtime) with no access to any previous incarnation's memory. The
-  /// harness's CrashNode/RestartNode pair is built on this.
+  /// harness's Crash/Restart pair and recraftd's restart are built on this.
   Node(NodeId id, Options opts, storage::Storage* storage, Rng rng,
        SendFn send);
 
@@ -134,12 +134,6 @@ class Node {
   /// and re-runs the leader's commit accounting.
   void OnStorageDurable();
 
-  /// Crash/restart. Persistent state (term, vote, log, commit, applied
-  /// machine state, configuration, history) survives; volatile leadership
-  /// state, timers and pending client replies/reads do not.
-  void OnCrash();
-  void OnRestart();
-
   // --- introspection ----------------------------------------------------
   NodeId id() const { return id_; }
   Role role() const { return role_; }
@@ -151,6 +145,8 @@ class Node {
   Index last_log_index() const { return log_.last_index(); }
   const raft::RaftLog& log() const { return log_; }
   const raft::ConfigState& config() const { return config_.Current(); }
+  /// Log index of the entry that produced config().
+  Index config_index() const { return config_.CurrentIndex(); }
   ClusterUid cluster_uid() const { return config().uid; }
   /// The replicated state machine (opaque to the consensus core). Tests
   /// that need the concrete type downcast via the machine's Name().
@@ -168,7 +164,6 @@ class Node {
   /// Aborted merges this coordinator-source member still tracks for
   /// retransmission (cleared by the replicated ConfAbortSettled marker).
   size_t unsettled_abort_count() const { return unsettled_aborts_.size(); }
-  storage::Storage* storage() { return storage_; }
   bool IsRetired() const { return !config().IsMember(id_); }
   const std::vector<raft::ReconfigRecord>& history() const { return history_; }
   CounterSet& counters() { return counters_; }
@@ -405,10 +400,9 @@ class Node {
   const Options opts_;
   SendFn send_;
   Rng rng_;
-  /// Pluggable persistence backend (may be null: purely volatile node, the
-  /// pre-storage behavior). Non-owning; the harness keeps the durable
-  /// medium alive across node incarnations.
-  storage::Storage* storage_ = nullptr;
+  /// Persistence backend (never null). Non-owning; the owner keeps the
+  /// durable medium alive across node incarnations.
+  storage::Storage* storage_;
   storage::HardState persisted_hard_;
 
   // Persistent (survives crash/restart).
@@ -562,7 +556,7 @@ class Node {
     CounterSet::Id recovery_epoch_gap, recovery_naming_lookup;
     CounterSet::Id recovery_pull_started, recovery_pull_applied;
     CounterSet::Id recovery_install_snapshot, recovery_exchange_resumed;
-    CounterSet::Id node_crash, node_restart, node_reinit, node_boot;
+    CounterSet::Id node_reinit, node_boot;
     CounterSet::Id node_boot_amnesia;
     CounterSet::Id client_deferred;
     CounterSet::Id read_barrier_wait, read_accepted, read_probe_sent;

@@ -186,7 +186,7 @@ void Node::InstallSnapshotState(const raft::RaftSnapshot& snap, EpochTerm et) {
   // Blob before log reset: a crash in between leaves the old log plus a
   // newer snapshot — recovery prefers whichever the WAL marker survived
   // with; both states are consistent.
-  if (storage_ != nullptr) storage_->InstallSnapshot(snapshot_);
+  storage_->InstallSnapshot(snapshot_);
   if (snap.state) (void)machine_->Restore(*snap.state);
   log_.Reset(snap.last_index, snap.last_term);
   DropPendingAcks();
@@ -229,8 +229,8 @@ void Node::InstallSnapshotState(const raft::RaftSnapshot& snap, EpochTerm et) {
 // ---------------------------------------------------------------------------
 // Boot from storage: reconstruct a node purely from its durable image —
 // no volatile state from any previous incarnation survives. Used by the
-// harness's CrashNode/RestartNode pair and exercised by the crash-recovery
-// chaos suites.
+// harness's Crash/Restart pair and by recraftd, and exercised by the
+// crash-recovery chaos suites.
 
 void Node::BootFromStorage() {
   counters_.Add(cid_.node_boot);
@@ -361,7 +361,6 @@ void Node::BootFromStorage() {
 }
 
 void Node::PersistExchangeMetaNow() {
-  if (storage_ == nullptr) return;
   storage::ExchangeMeta meta;
   if (exchange_.has_value()) meta.pending_plan = exchange_->plan;
   for (const auto& [tx, gc] : exchange_gc_) {

@@ -168,27 +168,21 @@ void SlowLinksNemesis::Heal(World& world) {
 
 void DiskLatencyNemesis::Inflict(World& world, Rng& rng) {
   for (NodeId m : targets_.members) {
-    bool hit = rng.Chance(0.4);  // drawn for every member: stable stream
-    storage::SimDisk* disk = world.NodeDisk(m);
-    if (!hit || disk == nullptr) continue;
-    disk->SetExtraFsyncLatency(rng.Uniform(2 * kMillisecond, 20 * kMillisecond));
+    if (!rng.Chance(0.4)) continue;  // drawn for every member: stable stream
+    world.NodeDisk(m)->SetExtraFsyncLatency(
+        rng.Uniform(2 * kMillisecond, 20 * kMillisecond));
     victims_.push_back(m);
   }
   if (victims_.empty() && !targets_.members.empty()) {
     NodeId m = targets_.members[rng.Uniform(0, targets_.members.size() - 1)];
-    if (storage::SimDisk* disk = world.NodeDisk(m)) {
-      disk->SetExtraFsyncLatency(rng.Uniform(2 * kMillisecond, 20 * kMillisecond));
-      victims_.push_back(m);
-    }
+    world.NodeDisk(m)->SetExtraFsyncLatency(
+        rng.Uniform(2 * kMillisecond, 20 * kMillisecond));
+    victims_.push_back(m);
   }
 }
 
 void DiskLatencyNemesis::Heal(World& world) {
-  for (NodeId m : victims_) {
-    if (storage::SimDisk* disk = world.NodeDisk(m)) {
-      disk->SetExtraFsyncLatency(0);
-    }
-  }
+  for (NodeId m : victims_) world.NodeDisk(m)->SetExtraFsyncLatency(0);
   victims_.clear();
 }
 
@@ -197,17 +191,13 @@ void DiskLatencyNemesis::Heal(World& world) {
 void FsyncStallNemesis::Inflict(World& world, Rng& rng) {
   if (targets_.members.empty()) return;
   NodeId m = targets_.members[rng.Uniform(0, targets_.members.size() - 1)];
-  storage::SimDisk* disk = world.NodeDisk(m);
-  if (disk == nullptr) return;
-  disk->SetFsyncStalled(true);
+  world.NodeDisk(m)->SetFsyncStalled(true);
   victim_ = m;
 }
 
 void FsyncStallNemesis::Heal(World& world) {
   if (victim_ == kNoNode) return;
-  if (storage::SimDisk* disk = world.NodeDisk(victim_)) {
-    disk->SetFsyncStalled(false);
-  }
+  world.NodeDisk(victim_)->SetFsyncStalled(false);
   victim_ = kNoNode;
 }
 
@@ -285,7 +275,7 @@ void CrashWaveNemesis::Inflict(World& world, Rng& rng) {
   size_t down = 0;
   std::vector<NodeId> up;
   for (NodeId id : m) {
-    if (world.IsDown(id) || world.IsCrashed(id)) {
+    if (world.IsCrashed(id)) {
       ++down;
     } else {
       up.push_back(id);
@@ -296,28 +286,20 @@ void CrashWaveNemesis::Inflict(World& world, Rng& rng) {
   auto order = Shuffled(up, rng);
   size_t n = rng.Uniform(1, cap - down);
   n = std::min(n, order.size());
-  bool hard = world.options().storage != StorageMode::kNone;
   for (size_t i = 0; i < n; ++i) {
     NodeId id = order[i];
-    if (hard) {
-      storage::CrashSpec spec;
-      spec.point = static_cast<storage::CrashPoint>(rng.Uniform(
-          0, 2));  // kLosePending | kTornTail | kPartialBatch
-      if (world.CrashNode(id, spec).ok()) downed_hard_.push_back(id);
-    } else {
-      world.Crash(id);
-      downed_soft_.push_back(id);
-    }
+    storage::CrashSpec spec;
+    spec.point = static_cast<storage::CrashPoint>(rng.Uniform(
+        0, 2));  // kLosePending | kTornTail | kPartialBatch
+    if (world.Crash(id, spec).ok()) downed_.push_back(id);
   }
 }
 
 void CrashWaveNemesis::Heal(World& world) {
-  for (NodeId id : downed_hard_) {
-    if (world.IsDown(id)) (void)world.RestartNode(id);
+  for (NodeId id : downed_) {
+    if (world.IsCrashed(id)) (void)world.Restart(id);
   }
-  downed_hard_.clear();
-  for (NodeId id : downed_soft_) world.Restart(id);
-  downed_soft_.clear();
+  downed_.clear();
 }
 
 // --- hot-key migration ------------------------------------------------------

@@ -148,8 +148,7 @@ class SlowLinksNemesis final : public Nemesis {
 };
 
 /// Disk-latency spike: victims' fsyncs take extra time, deferring group
-/// commit (and the acks / commit votes gated on durability). kWal only;
-/// silently idle otherwise.
+/// commit (and the acks / commit votes gated on durability).
 class DiskLatencyNemesis final : public Nemesis {
  public:
   DiskLatencyNemesis() : Nemesis("disk-latency") {}
@@ -162,8 +161,7 @@ class DiskLatencyNemesis final : public Nemesis {
 };
 
 /// Fsync stall: one victim's disk stops completing fsyncs entirely — the
-/// classic gray failure where a node looks alive but cannot persist. kWal
-/// only; silently idle otherwise.
+/// classic gray failure where a node looks alive but cannot persist.
 class FsyncStallNemesis final : public Nemesis {
  public:
   FsyncStallNemesis() : Nemesis("fsync-stall") {}
@@ -206,10 +204,9 @@ class ChurnStormNemesis final : public Nemesis {
   uint64_t changes_requested_ = 0;
 };
 
-/// Rolling crash wave: hard-crashes (CrashNode, with a drawn in-flight
+/// Rolling crash wave: crashes (World::Crash, with a drawn in-flight
 /// write-mangling CrashSpec) up to a minority of members per phase, and
-/// restarts them on heal. Falls back to soft Crash/Restart when the world
-/// has no storage mode.
+/// reboots them from their WALs on heal.
 class CrashWaveNemesis final : public Nemesis {
  public:
   CrashWaveNemesis() : Nemesis("crash-wave") {}
@@ -218,8 +215,7 @@ class CrashWaveNemesis final : public Nemesis {
   void Inflict(World& world, Rng& rng) override;
   void Heal(World& world) override;
 
-  std::vector<NodeId> downed_hard_;
-  std::vector<NodeId> downed_soft_;
+  std::vector<NodeId> downed_;
 };
 
 /// Zipfian hot-key migration: rotates the client fleet's key ranks by a

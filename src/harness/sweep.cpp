@@ -40,7 +40,6 @@ WorldVerdict RunSweepWorld(const SweepOptions& opts, uint64_t seed) {
   WorldOptions wo;
   wo.seed = seed;
   wo.node.trace_applied = true;  // feeds the safety checkers
-  wo.storage = StorageMode::kWal;
   // Group commit (not synchronous flush) so disk-latency and fsync-stall
   // nemeses genuinely delay the durability acks/commit votes are gated on.
   wo.wal.flush_interval = 500;

@@ -75,7 +75,6 @@ World::World(WorldOptions opts)
 World::~World() = default;
 
 storage::Storage* World::MakeStorage(NodeId id) {
-  if (opts_.storage == StorageMode::kNone) return nullptr;
   auto& disk = disks_[id];
   if (disk == nullptr) disk = std::make_shared<storage::SimDisk>(opts_.disk);
   auto wal = std::make_unique<storage::WalStorage>(disk, &clock_, opts_.wal);
@@ -89,7 +88,7 @@ void World::RegisterNodeHandler(NodeId id) {
   transport_.Bind(id, [this, id](NodeId from, const raft::Message& m,
                                  obs::TraceCtx ctx) {
     auto it = nodes_.find(id);
-    if (it == nodes_.end()) return;  // down (CrashNode) — delivery dropped
+    if (it == nodes_.end()) return;  // crashed — delivery dropped
     it->second->Receive(from, m, ctx);
   });
 }
@@ -188,7 +187,7 @@ Status World::WipeNode(NodeId id, Duration timeout) {
   transport_.Send(kAdminId, id, msg);
   bool ok = RunUntil(
       [&]() {
-        // The node can be hard-crashed by chaos while we wait: that is a
+        // The node can be crashed by chaos while we wait: that is a
         // wipe failure, not a license to deref a destroyed object.
         if (!HasNode(id)) return false;
         return node(id).config().members.empty() &&
@@ -207,10 +206,10 @@ void World::ScheduleTick(NodeId id) {
 }
 
 void World::TickNode(NodeId id, uint64_t gen) {
-  if (gen != node_gen_[id]) return;  // stale chain from before a CrashNode
+  if (gen != node_gen_[id]) return;  // stale chain from before a Crash
   auto it = nodes_.find(id);
   if (it == nodes_.end()) return;
-  if (!net_.IsCrashed(id)) it->second->Tick();
+  it->second->Tick();
   events_.Schedule(TickIntervalOf(id),
                    [this, id, gen]() { TickNode(id, gen); });
 }
@@ -247,16 +246,6 @@ std::vector<NodeId> World::AllNodeIds() const {
   return ids;
 }
 
-void World::Crash(NodeId id) {
-  net_.Crash(id);
-  if (HasNode(id)) node(id).OnCrash();
-}
-
-void World::Restart(NodeId id) {
-  net_.Restart(id);
-  if (HasNode(id)) node(id).OnRestart();
-}
-
 storage::Storage* World::NodeStorage(NodeId id) {
   auto it = storages_.find(id);
   return it == storages_.end() ? nullptr : it->second.get();
@@ -267,33 +256,31 @@ storage::SimDisk* World::NodeDisk(NodeId id) {
   return it == disks_.end() ? nullptr : it->second.get();
 }
 
-Status World::CrashNode(NodeId id, const storage::CrashSpec& spec) {
-  if (opts_.storage == StorageMode::kNone) {
-    return Rejected("CrashNode needs a storage mode (WorldOptions::storage)");
+Status World::Crash(NodeId id, const storage::CrashSpec& spec) {
+  if (disks_.count(id) == 0) {  // not a node: network isolation only
+    net_.Crash(id);
+    return OkStatus();
   }
-  if (!HasNode(id)) return NotFound("no node " + std::to_string(id));
+  if (!HasNode(id)) {
+    return Rejected("node " + std::to_string(id) + " is already crashed");
+  }
   net_.Crash(id);
-  node(id).OnCrash();
   ++node_gen_[id];  // kills the tick chain at its next firing
   // Mangle the in-flight (unacknowledged) writes per the crash spec, then
   // destroy every byte of volatile state. The storage instance dies too:
   // recovery must reparse the disk, not reuse a live model.
-  if (auto it = storages_.find(id); it != storages_.end()) {
-    it->second->Crash(spec);
-    storages_.erase(it);
-  }
+  storages_.at(id)->Crash(spec);
+  storages_.erase(id);
   nodes_.erase(id);
   return OkStatus();
 }
 
-Status World::RestartNode(NodeId id) {
-  if (opts_.storage == StorageMode::kNone) {
-    return Rejected("RestartNode needs a storage mode");
+Status World::Restart(NodeId id) {
+  if (disks_.count(id) == 0) {  // not a node: reconnect only
+    net_.Restart(id);
+    return OkStatus();
   }
-  if (HasNode(id)) return Rejected("node is up; use Restart for soft faults");
-  if (disks_.count(id) == 0) {
-    return NotFound("node " + std::to_string(id) + " never existed");
-  }
+  if (HasNode(id)) return Rejected("node " + std::to_string(id) + " is up");
   net_.Restart(id);
   core::Options node_opts = opts_.node;
   if (opts_.with_naming_service) node_opts.naming_service = kNamingServiceId;
@@ -320,7 +307,7 @@ NodeId World::LeaderOf(const std::vector<NodeId>& members) const {
   NodeId best = kNoNode;
   uint64_t best_et = 0;
   for (NodeId id : members) {
-    if (!HasNode(id) || net_.IsCrashed(id)) continue;
+    if (!HasNode(id)) continue;  // crashed
     const auto& n = node(id);
     if (n.IsLeader() && n.current_et().raw() >= best_et) {
       best = id;
@@ -344,7 +331,7 @@ raft::ConfigState World::ConfigOf(const std::vector<NodeId>& members) const {
   };
   const core::Node* best = nullptr;
   for (NodeId id : members) {
-    if (!HasNode(id) || net_.IsCrashed(id)) continue;
+    if (!HasNode(id)) continue;  // crashed
     const auto& n = node(id);
     if (best == nullptr || rank(n) > rank(*best)) best = &n;
   }
@@ -539,6 +526,21 @@ Status World::AdminMemberChange(const std::vector<NodeId>& members,
   return reply->status;
 }
 
+bool World::ConfigSettled(NodeId leader) const {
+  const core::Node& l = node(leader);
+  const raft::ConfigState& cfg = l.config();
+  const Index at = l.config_index();
+  if (cfg.ReconfigPending() || cfg.fixed_quorum != 0 ||
+      l.commit_index() < at) {
+    return false;
+  }
+  size_t applied = 0;
+  for (NodeId m : cfg.members) {
+    if (HasNode(m) && node(m).last_applied() >= at) ++applied;
+  }
+  return applied >= raft::MajorityOf(cfg.members.size());
+}
+
 Result<int> World::AdminResizeTo(const std::vector<NodeId>& members,
                                  const std::vector<NodeId>& target,
                                  Duration timeout) {
@@ -552,10 +554,7 @@ Result<int> World::AdminResizeTo(const std::vector<NodeId>& members,
         [&]() {
           NodeId l = LeaderOf(goal.empty() ? current : goal);
           if (l == kNoNode) l = LeaderOf(current);
-          if (l == kNoNode) return false;
-          const auto& cfg = node(l).config();
-          return !cfg.ReconfigPending() && cfg.fixed_quorum == 0 &&
-                 node(l).commit_index() >= node(l).log().last_index();
+          return l != kNoNode && ConfigSettled(l);
         },
         deadline > now() ? deadline - now() : 0);
   };
@@ -611,12 +610,11 @@ void World::DumpDiagnostics(std::ostream& os) const {
        << " last_log=" << n->last_log_index() << " durable=" << durable
        << " uid=" << n->cluster_uid()
        << " merge_phase=" << static_cast<int>(n->merge_phase())
-       << " pending_reads=" << n->pending_read_count()
-       << (net_.IsCrashed(id) ? "  [CRASHED]" : "") << "\n";
+       << " pending_reads=" << n->pending_read_count() << "\n";
   }
   for (const auto& [id, disk] : disks_) {
     if (nodes_.count(id) == 0) {
-      os << "  node " << id << ": DOWN (hard-crashed, durable medium kept)\n";
+      os << "  node " << id << ": CRASHED (durable medium kept)\n";
     }
   }
   os << "-- network --\n";

@@ -31,10 +31,11 @@ inline constexpr NodeId kNamingServiceId = 900;
 inline constexpr NodeId kAdminId = 901;
 inline constexpr NodeId kFirstClientId = 1000;
 
-/// What backs each node's durable state.
+/// What backs each node's durable state. Every node runs over a WalStorage
+/// on its own SimDisk; the enum has that one value left only because the
+/// benchmark sources still name it.
 enum class StorageMode {
-  kNone = 0,  // purely volatile nodes (the historical behavior)
-  kWal,       // WalStorage over a per-node SimDisk (CrashNode/RestartNode)
+  kWal,
 };
 
 struct WorldOptions {
@@ -44,9 +45,9 @@ struct WorldOptions {
                        // node.machine_factory is unset the World installs
                        // kv::KvMachineFactory (the default workload)
   bool with_naming_service = true;
-  StorageMode storage = StorageMode::kNone;
-  storage::WalStorage::Options wal;      // kWal only
-  storage::SimDisk::Options disk;        // kWal only
+  StorageMode storage = StorageMode::kWal;
+  storage::WalStorage::Options wal;  // every node's WAL
+  storage::SimDisk::Options disk;    // every node's SimDisk
   /// Arm the flight recorder (obs/trace.h): the World binds it to the sim
   /// clock and hands it to the network, every node and every WAL instance.
   /// Null = disarmed. Arming must not change the execution digest.
@@ -120,31 +121,28 @@ class World {
   const NamingService& naming() const { return naming_; }
 
   // --- fault injection -----------------------------------------------------
-  void Crash(NodeId id);
-  void Restart(NodeId id);
-  bool IsCrashed(NodeId id) const { return net_.IsCrashed(id); }
-
-  /// Hard crash: destroy the node object entirely — every byte of volatile
-  /// state is gone — applying `spec` to its not-yet-durable writes (torn
-  /// tail, partial batch, ...). Requires kWal. The node's SimDisk survives
-  /// for RestartNode; its WalStorage instance does not.
-  Status CrashNode(NodeId id, const storage::CrashSpec& spec = {});
-  /// Rebuild a CrashNode'd node purely from its durable medium (WAL replay,
+  /// Crash a node: destroy the node object entirely — every byte of
+  /// volatile state is gone — applying `spec` to its not-yet-durable writes
+  /// (torn tail, partial batch, ...). Its SimDisk survives for Restart; its
+  /// WalStorage instance does not. For an id that is not a node (e.g. the
+  /// TC cluster manager) this only isolates it on the network.
+  Status Crash(NodeId id, const storage::CrashSpec& spec = {});
+  /// Rebuild a crashed node purely from its durable medium (WAL replay,
   /// snapshot load, merge-exchange resumption) and rejoin it to the world.
-  Status RestartNode(NodeId id);
-  /// True when the node was taken down by CrashNode and not yet restarted.
-  bool IsDown(NodeId id) const { return nodes_.count(id) == 0; }
-  /// The node's storage backend (null in kNone mode or while down).
+  /// For an id that is not a node this only reconnects it.
+  Status Restart(NodeId id);
+  bool IsCrashed(NodeId id) const { return net_.IsCrashed(id); }
+  /// The node's storage backend (null while the node is crashed).
   storage::Storage* NodeStorage(NodeId id);
-  /// The node's durable medium (null outside kWal mode). Survives CrashNode,
-  /// so nemeses can keep a latency spike or fsync stall armed across a
-  /// reboot.
+  /// The node's durable medium (null for ids that never were nodes).
+  /// Survives Crash, so nemeses can keep a latency spike or fsync stall
+  /// armed across a reboot.
   storage::SimDisk* NodeDisk(NodeId id);
 
   /// Override one node's tick interval (clock skew injection: a fast or
   /// slow local clock changes election/heartbeat pacing relative to its
   /// peers). 0 restores WorldOptions::node.tick_interval. Takes effect at
-  /// the node's next tick; survives soft Crash/Restart and CrashNode.
+  /// the node's next tick; survives Crash/Restart.
   void SetTickInterval(NodeId id, Duration interval);
   Duration TickIntervalOf(NodeId id) const;
 
@@ -160,6 +158,11 @@ class World {
                      Duration timeout = 5 * kSecond);
   /// Current configuration as seen by the (highest-epoch) live member.
   raft::ConfigState ConfigOf(const std::vector<NodeId>& members) const;
+  /// True once live node `leader`'s current configuration entry is
+  /// committed and applied on a quorum of its members, with no second step
+  /// outstanding (no reconfiguration pending, fixed_quorum == 0). Client
+  /// entries appended after it do not matter, so this holds under load.
+  bool ConfigSettled(NodeId leader) const;
 
   // --- admin operations (synchronous: run the event loop until done) ---------
   /// Split the cluster owning `members` into groups at split_keys.
@@ -176,8 +179,9 @@ class World {
                            const raft::MemberChange& change,
                            Duration timeout = 10 * kSecond);
   /// Arbitrary membership target using ReCraft ops, chaining removals of
-  /// r >= Q_old across steps as §IV-B requires. Returns consensus steps
-  /// taken (for the §VII-E bench) or an error.
+  /// r >= Q_old across steps as §IV-B requires; each step waits for
+  /// ConfigSettled. Returns consensus steps taken (for the §VII-E bench) or
+  /// an error.
   Result<int> AdminResizeTo(const std::vector<NodeId>& members,
                             const std::vector<NodeId>& target,
                             Duration timeout = 15 * kSecond);
@@ -229,7 +233,7 @@ class World {
   void ScheduleTick(NodeId id);
   void TickNode(NodeId id, uint64_t gen);
   /// Create a fresh storage backend for `id` over its (possibly existing)
-  /// disk. Returns null in kNone mode.
+  /// disk.
   storage::Storage* MakeStorage(NodeId id);
   void RegisterNodeHandler(NodeId id);
   Result<raft::ClientReply> CallLeader(const std::vector<NodeId>& members,
@@ -247,15 +251,16 @@ class World {
   sim::SimTransport transport_{&net_};
   NamingService naming_;
   shard::ShardMap shard_map_;
-  // Durable media outlive node objects: disks (kWal) persist for the whole
-  // run; storages_ holds the live backend per node (a fresh one per boot,
-  // so recovery genuinely reparses disk bytes). Declared before nodes_ so
-  // nodes (which hold raw Storage pointers) are destroyed first.
+  // Durable media outlive node objects: disks persist for the whole run,
+  // keyed by every node id ever created; storages_ holds the live backend
+  // per node (a fresh one per boot, so recovery genuinely reparses disk
+  // bytes). Declared before nodes_ so nodes (which hold raw Storage
+  // pointers) are destroyed first.
   std::map<NodeId, std::shared_ptr<storage::SimDisk>> disks_;
   std::map<NodeId, std::unique_ptr<storage::WalStorage>> storages_;
   std::map<NodeId, std::unique_ptr<core::Node>> nodes_;
-  /// Incarnation counter per node: stale tick chains from before a
-  /// CrashNode notice the bump and die off.
+  /// Incarnation counter per node: stale tick chains from before a Crash
+  /// notice the bump and die off.
   std::map<NodeId, uint64_t> node_gen_;
   /// Per-node tick-interval overrides (clock skew injection).
   std::map<NodeId, Duration> tick_override_;

@@ -25,7 +25,7 @@ PlacementDriver::ShardMetrics PlacementDriver::MetricsOf(
       }
     }
   }
-  // Re-validate before dereferencing: CrashNode destroys the node *object*
+  // Re-validate before dereferencing: Crash destroys the node *object*
   // (not just its network presence), so a probe picked from a stale member
   // list — or raced by crash chaos while a rebalance step ran the event
   // loop — must be skipped, not dereferenced.

@@ -4,8 +4,10 @@
 // merge-exchange snapshots, and the exchange runtime metadata — flows
 // through this interface. It has one backend, WalStorage (wal_storage.h):
 // group-committed, CRC-framed records over a Disk — SimDisk in simulated
-// worlds, FileDisk under recraftd. The interface stays so the consensus
-// core does not depend on the WAL's clock and recorder.
+// worlds, FileDisk under recraftd. Every node has one: core::Node takes it
+// in both its genesis and its boot constructor, and there is no
+// storage-less node. The interface stays so the consensus core does not
+// depend on the WAL's clock and recorder.
 //
 // Durability contract the node relies on:
 //   - DurableIndex(): log entries at or below it survive any crash. The

@@ -1,5 +1,5 @@
-// Crash-recovery integration: nodes are destroyed outright (CrashNode) and
-// rebuilt purely from their SimDisk contents (RestartNode), with crash
+// Crash-recovery integration: nodes are destroyed outright (World::Crash)
+// and rebuilt purely from their SimDisk contents (World::Restart), with crash
 // points injected into the in-flight WAL batch. The acceptance scenario
 // crashes every node at least once mid-reconfiguration (split, merge,
 // membership change) and requires the world to come back linearizable.
@@ -17,7 +17,6 @@ using storage::CrashSpec;
 
 WorldOptions WalWorldOptions(uint64_t seed) {
   WorldOptions o = TestWorldOptions(seed);
-  o.storage = harness::StorageMode::kWal;
   o.wal.flush_interval = 1 * kMillisecond;  // group commit window
   return o;
 }
@@ -51,15 +50,36 @@ TEST(WalRecovery, FollowerRebootsFromDiskAlone) {
   }
   w.RunFor(50 * kMillisecond);  // let the group-commit window drain
   NodeId victim = c[0] == w.LeaderOf(c) ? c[1] : c[0];
-  ASSERT_TRUE(w.CrashNode(victim).ok());
-  ASSERT_TRUE(w.IsDown(victim));
-  ASSERT_TRUE(w.RestartNode(victim).ok());
+  ASSERT_TRUE(w.Crash(victim).ok());
+  ASSERT_TRUE(w.IsCrashed(victim));
+  ASSERT_TRUE(w.Restart(victim).ok());
   // The store is rebuilt from the WAL alone, before any peer contact: the
   // boot replay already holds every committed-and-flushed write.
   EXPECT_EQ(harness::KvStoreOf(w.node(victim)).size(), 10u);
   EXPECT_GT(w.node(victim).counters().Get("node.boot"), 0u);
   ExpectConverged(w, c);
   EXPECT_EQ(*w.Get(c, "k3"), "v");
+}
+
+// Every World node is WAL-backed with default options: Crash destroys the
+// node object and Restart boots a new one from its disk.
+TEST(WalRecovery, CrashRebootsLeaderFromWalByDefault) {
+  World w(TestWorldOptions());
+  auto c = w.CreateCluster(3);
+  ASSERT_TRUE(w.WaitForLeader(c));
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE(w.Put(c, "k" + std::to_string(i), "v").ok());
+  }
+  NodeId leader = w.LeaderOf(c);
+  ASSERT_TRUE(w.Crash(leader).ok());
+  EXPECT_FALSE(w.HasNode(leader));
+  EXPECT_TRUE(w.IsCrashed(leader));
+  ASSERT_TRUE(w.Restart(leader).ok());
+  ASSERT_TRUE(w.HasNode(leader));
+  EXPECT_FALSE(w.IsCrashed(leader));
+  EXPECT_EQ(w.node(leader).counters().Get("node.boot"), 1u);
+  ExpectConverged(w, c);
+  EXPECT_EQ(harness::KvStoreOf(w.node(leader)).size(), 20u);
 }
 
 TEST(WalRecovery, LeaderCrashWithTornTailKeepsAckedWrites) {
@@ -77,9 +97,9 @@ TEST(WalRecovery, LeaderCrashWithTornTailKeepsAckedWrites) {
   w.RunFor(3 * kMillisecond);
   NodeId leader = w.LeaderOf(c);
   ASSERT_NE(leader, kNoNode);
-  ASSERT_TRUE(w.CrashNode(leader, CrashSpec{CrashPoint::kTornTail}).ok());
+  ASSERT_TRUE(w.Crash(leader, CrashSpec{CrashPoint::kTornTail}).ok());
   ASSERT_TRUE(w.WaitForLeader(c, 10 * kSecond));
-  ASSERT_TRUE(w.RestartNode(leader).ok());
+  ASSERT_TRUE(w.Restart(leader).ok());
   ExpectConverged(w, c, 15 * kSecond);
   for (int i = 0; i < 5; ++i) {
     auto v = w.Get(c, "acked" + std::to_string(i));
@@ -102,8 +122,8 @@ TEST(WalRecovery, RebootsFromSnapshotPlusWalTail) {
   w.RunFor(50 * kMillisecond);
   NodeId victim = c[2] == w.LeaderOf(c) ? c[1] : c[2];
   ASSERT_GT(w.node(victim).log().base_index(), 0u) << "no compaction yet";
-  ASSERT_TRUE(w.CrashNode(victim).ok());
-  ASSERT_TRUE(w.RestartNode(victim).ok());
+  ASSERT_TRUE(w.Crash(victim).ok());
+  ASSERT_TRUE(w.Restart(victim).ok());
   EXPECT_EQ(harness::KvStoreOf(w.node(victim)).size(), 35u);
   EXPECT_GT(w.node(victim).log().base_index(), 0u);
   ExpectConverged(w, c);
@@ -121,10 +141,9 @@ TEST(WalRecovery, SnapshotLogDivergenceCrashIsRecoverable) {
   // Crash a follower right inside the group-commit window so a freshly
   // installed snapshot's WAL marker can still be in flight.
   NodeId victim = c[0] == w.LeaderOf(c) ? c[1] : c[0];
-  ASSERT_TRUE(
-      w.CrashNode(victim, CrashSpec{CrashPoint::kSnapLogDivergence}).ok());
+  ASSERT_TRUE(w.Crash(victim, CrashSpec{CrashPoint::kSnapLogDivergence}).ok());
   w.RunFor(100 * kMillisecond);
-  ASSERT_TRUE(w.RestartNode(victim).ok());
+  ASSERT_TRUE(w.Restart(victim).ok());
   ExpectConverged(w, c, 15 * kSecond);
   EXPECT_EQ(harness::KvStoreOf(w.node(victim)).size(), 25u);
 }
@@ -138,12 +157,12 @@ TEST(WalRecovery, DoubleCrashDuringRecovery) {
   }
   w.RunFor(50 * kMillisecond);
   NodeId victim = c[1] == w.LeaderOf(c) ? c[0] : c[1];
-  ASSERT_TRUE(w.CrashNode(victim, CrashSpec{CrashPoint::kTornTail}).ok());
-  ASSERT_TRUE(w.RestartNode(victim).ok());
+  ASSERT_TRUE(w.Crash(victim, CrashSpec{CrashPoint::kTornTail}).ok());
+  ASSERT_TRUE(w.Restart(victim).ok());
   // Crash again immediately: the node replayed its WAL but processed no
   // events. Recovery is read-only, so the second boot sees the same disk.
-  ASSERT_TRUE(w.CrashNode(victim, CrashSpec{CrashPoint::kLosePending}).ok());
-  ASSERT_TRUE(w.RestartNode(victim).ok());
+  ASSERT_TRUE(w.Crash(victim, CrashSpec{CrashPoint::kLosePending}).ok());
+  ASSERT_TRUE(w.Restart(victim).ok());
   EXPECT_EQ(harness::KvStoreOf(w.node(victim)).size(), 8u);
   ExpectConverged(w, c);
 }
@@ -171,8 +190,8 @@ TEST(WalRecovery, WipedNodeRestartsBlank) {
       },
       10 * kSecond));
   ASSERT_TRUE(w.WipeNode(victim).ok());
-  ASSERT_TRUE(w.CrashNode(victim).ok());
-  ASSERT_TRUE(w.RestartNode(victim).ok());
+  ASSERT_TRUE(w.Crash(victim).ok());
+  ASSERT_TRUE(w.Restart(victim).ok());
   EXPECT_TRUE(w.node(victim).config().members.empty());
   EXPECT_EQ(w.node(victim).cluster_uid(), 0u);
   EXPECT_EQ(harness::KvStoreOf(w.node(victim)).size(), 0u);
@@ -199,10 +218,10 @@ TEST(CrashChaos, EveryNodeCrashesMidReconfigAndRecovers) {
                                CrashPoint::kLosePending};
   int point_cursor = 0;
   auto crash_and_restart = [&](NodeId id, Duration down_for) {
-    ASSERT_TRUE(w.CrashNode(id, CrashSpec{points[point_cursor++ % 3]}).ok());
+    ASSERT_TRUE(w.Crash(id, CrashSpec{points[point_cursor++ % 3]}).ok());
     crashed_once.insert(id);
     w.RunFor(down_for);
-    ASSERT_TRUE(w.RestartNode(id).ok());
+    ASSERT_TRUE(w.Restart(id).ok());
   };
 
   // Preload both halves of the key space.
@@ -232,7 +251,7 @@ TEST(CrashChaos, EveryNodeCrashesMidReconfigAndRecovers) {
     ASSERT_TRUE(w.RunUntil(
         [&]() {
           for (NodeId id : c) {
-            if (w.IsDown(id) || w.IsCrashed(id)) continue;
+            if (w.IsCrashed(id)) continue;
             const auto& n = w.node(id);
             if (n.epoch() < 1 ||
                 n.config().mode != raft::ConfigMode::kStable) {
@@ -326,7 +345,7 @@ TEST(CrashChaos, EveryNodeCrashesMidReconfigAndRecovers) {
     if (!merged) {
       for (NodeId id : c) {
         diag += "\n n" + std::to_string(id) + ": " +
-                (w.IsDown(id) ? "DOWN" : w.node(id).config().ToString() +
+                (w.IsCrashed(id) ? "CRASHED" : w.node(id).config().ToString() +
                                              " phase=" +
                                              std::to_string(static_cast<int>(
                                                  w.node(id).merge_phase())));
@@ -341,7 +360,7 @@ TEST(CrashChaos, EveryNodeCrashesMidReconfigAndRecovers) {
   ASSERT_TRUE(w.RunUntil(
       [&]() {
         for (NodeId id : all) {
-          if (w.IsDown(id) || w.node(id).merge_exchange_pending()) {
+          if (w.IsCrashed(id) || w.node(id).merge_exchange_pending()) {
             return false;
           }
         }

@@ -52,14 +52,14 @@ RunTrace RunChaosScenario(uint64_t seed, obs::Recorder* rec = nullptr) {
       }
     }
     // Heal last round's damage, inflict new damage.
-    for (NodeId n : down) w.Restart(n);
+    for (NodeId n : down) EXPECT_TRUE(w.Restart(n).ok());
     down.clear();
     w.net().ClearPartitions();
     w.net().set_drop_probability(chaos.Chance(0.5) ? 0.02 : 0.0);
     if (chaos.Chance(0.5)) {
       NodeId victim = c[chaos.Uniform(0, c.size() - 1)];
       if (!w.IsCrashed(victim)) {
-        w.Crash(victim);
+        EXPECT_TRUE(w.Crash(victim).ok());
         down.push_back(victim);
       }
     }
@@ -70,7 +70,7 @@ RunTrace RunChaosScenario(uint64_t seed, obs::Recorder* rec = nullptr) {
     }
     w.RunFor(400 * kMillisecond);
   }
-  for (NodeId n : down) w.Restart(n);
+  for (NodeId n : down) EXPECT_TRUE(w.Restart(n).ok());
   w.net().HealAll();  // partitions and any per-link overrides in one sweep
   w.net().set_drop_probability(0);
   EXPECT_TRUE(w.WaitForLeader(c));

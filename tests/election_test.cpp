@@ -40,7 +40,7 @@ TEST(Election, ReelectsAfterLeaderCrash) {
   auto c = w.CreateCluster(3);
   ASSERT_TRUE(w.WaitForLeader(c));
   NodeId old_leader = w.LeaderOf(c);
-  w.Crash(old_leader);
+  ASSERT_TRUE(w.Crash(old_leader).ok());
   std::vector<NodeId> rest;
   for (NodeId id : c) {
     if (id != old_leader) rest.push_back(id);
@@ -53,8 +53,8 @@ TEST(Election, NoQuorumNoLeader) {
   World w(TestWorldOptions());
   auto c = w.CreateCluster(3);
   ASSERT_TRUE(w.WaitForLeader(c));
-  w.Crash(c[0]);
-  w.Crash(c[1]);
+  ASSERT_TRUE(w.Crash(c[0]).ok());
+  ASSERT_TRUE(w.Crash(c[1]).ok());
   w.RunFor(2 * kSecond);
   EXPECT_FALSE(w.node(c[2]).IsLeader());
 }
@@ -63,10 +63,10 @@ TEST(Election, LeaderReturnsAfterQuorumRestored) {
   World w(TestWorldOptions());
   auto c = w.CreateCluster(3);
   ASSERT_TRUE(w.WaitForLeader(c));
-  w.Crash(c[0]);
-  w.Crash(c[1]);
+  ASSERT_TRUE(w.Crash(c[0]).ok());
+  ASSERT_TRUE(w.Crash(c[1]).ok());
   w.RunFor(1 * kSecond);
-  w.Restart(c[0]);
+  ASSERT_TRUE(w.Restart(c[0]).ok());
   ASSERT_TRUE(w.WaitForLeader(c));
 }
 
@@ -106,9 +106,9 @@ TEST(Election, ElectionSafetyHoldsUnderChurn) {
   ASSERT_TRUE(w.WaitForLeader(c));
   for (int round = 0; round < 5; ++round) {
     NodeId leader = w.LeaderOf(c);
-    if (leader != kNoNode) w.Crash(leader);
+    if (leader != kNoNode) ASSERT_TRUE(w.Crash(leader).ok());
     w.RunFor(500 * kMillisecond);
-    if (leader != kNoNode) w.Restart(leader);
+    if (leader != kNoNode) ASSERT_TRUE(w.Restart(leader).ok());
     w.RunFor(500 * kMillisecond);
   }
   EXPECT_TRUE(checker.ok()) << checker.Report();

@@ -353,7 +353,7 @@ TEST(Merge, AbortResumedAfterCoordinatorLeaderChange) {
       10 * kSecond));
   NodeId old_leader = w.LeaderOf(g0);
   ASSERT_NE(old_leader, kNoNode);
-  w.Crash(old_leader);
+  ASSERT_TRUE(w.Crash(old_leader).ok());
   std::vector<NodeId> g0_rest;
   for (NodeId a : g0) {
     if (a != old_leader) g0_rest.push_back(a);
@@ -392,7 +392,7 @@ TEST(Merge, AbortResumedAfterCoordinatorLeaderChange) {
       },
       20 * kSecond))
       << "abort never settled on the coordinator cluster";
-  w.Restart(old_leader);
+  ASSERT_TRUE(w.Restart(old_leader).ok());
   ASSERT_TRUE(w.RunUntil(
       [&]() { return w.node(old_leader).unsettled_abort_count() == 0; },
       20 * kSecond));
@@ -435,7 +435,7 @@ TEST(Merge, CoordinatorLeaderCrashDuringPrepare) {
         return false;
       },
       5 * kSecond));
-  w.Crash(coord_leader);
+  ASSERT_TRUE(w.Crash(coord_leader).ok());
   // The new coordinator-cluster leader resumes the 2PC from its log and the
   // merge completes without the crashed node.
   std::vector<NodeId> all;
@@ -456,7 +456,7 @@ TEST(Merge, CoordinatorLeaderCrashDuringPrepare) {
       30 * kSecond));
   EXPECT_TRUE(checker.ok()) << checker.Report();
   // The crashed ex-leader rejoins the merged cluster after restart.
-  w.Restart(coord_leader);
+  ASSERT_TRUE(w.Restart(coord_leader).ok());
   ASSERT_TRUE(w.RunUntil(
       [&]() {
         return w.node(coord_leader).config().members == all &&
@@ -471,7 +471,7 @@ TEST(Merge, ParticipantFollowerMissesEverything) {
   auto& w = f.w;
   NodeId sleeper = f.groups[1].back();
   if (sleeper == w.LeaderOf(f.groups[1])) sleeper = f.groups[1].front();
-  w.Crash(sleeper);
+  ASSERT_TRUE(w.Crash(sleeper).ok());
   ASSERT_TRUE(w.AdminMerge({f.groups[0], f.groups[1]}).ok());
   std::vector<NodeId> all;
   for (auto& g : f.groups) all.insert(all.end(), g.begin(), g.end());
@@ -480,7 +480,7 @@ TEST(Merge, ParticipantFollowerMissesEverything) {
   // Write some post-merge data, then wake the sleeper: it must join the
   // merged cluster (snapshot-based catch-up across the merge boundary).
   ASSERT_TRUE(w.Put(all, "post", "merge").ok());
-  w.Restart(sleeper);
+  ASSERT_TRUE(w.Restart(sleeper).ok());
   ASSERT_TRUE(w.RunUntil(
       [&]() {
         return w.node(sleeper).config().members == all &&

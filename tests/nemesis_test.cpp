@@ -91,7 +91,6 @@ TEST(OneWayLoss, StarvesAcksButNotAppends) {
 // the batch — vote persistence deliberately bypasses the stall.)
 TEST(FsyncStall, DelaysDurabilityGatedCommit) {
   WorldOptions o = TestWorldOptions(0x57a1);
-  o.storage = harness::StorageMode::kWal;
   o.wal.flush_interval = 500;
   World w(o);
   harness::SafetyChecker checker(w);
@@ -138,7 +137,6 @@ TEST(FsyncStall, DelaysDurabilityGatedCommit) {
 // land, just later, and the cluster reconverges once the spike clears.
 TEST(DiskLatency, SpikeDelaysButNeverBlocksCommit) {
   WorldOptions o = TestWorldOptions(0xd15c);
-  o.storage = harness::StorageMode::kWal;
   o.wal.flush_interval = 500;
   World w(o);
   auto c = w.CreateCluster(3);
@@ -216,7 +214,6 @@ TEST(ChurnStorm, AddsAndRemovesSpareSafely) {
 
 TEST(CrashWave, RollingHardCrashesConverge) {
   WorldOptions o = TestWorldOptions(0xcafe);
-  o.storage = harness::StorageMode::kWal;
   o.wal.flush_interval = 500;
   World w(o);
   harness::SafetyChecker checker(w);

@@ -11,6 +11,7 @@
 #include "core/node.h"
 #include "kv/kv_machine.h"
 #include "kv/service.h"
+#include "tests/test_util.h"
 
 namespace recraft::core {
 namespace {
@@ -26,18 +27,36 @@ struct Captured {
   raft::MessagePtr msg;
 };
 
-/// One node under test plus a mailbox of everything it sent.
+/// One node under test over its own WAL, plus a mailbox of everything it
+/// sent.
 struct NodeHarness {
   explicit NodeHarness(NodeId id, std::vector<NodeId> members,
-                       Options opts = {}) {
-    if (!opts.machine_factory) opts.machine_factory = kv::KvMachineFactory();
+                       Options opts = {})
+      : id(id), opts(std::move(opts)) {
+    if (!this->opts.machine_factory) {
+      this->opts.machine_factory = kv::KvMachineFactory();
+    }
     raft::ConfigState genesis;
     genesis.members = std::move(members);
     genesis.range = KeyRange::Full();
     genesis.uid = 99;
-    node = std::make_unique<Node>(
-        id, opts, genesis, Rng(7),
-        [this](NodeId to, raft::MessagePtr m) { outbox.push_back({to, m}); });
+    node = std::make_unique<Node>(id, this->opts, genesis, Rng(7), Send(),
+                                  wal.get());
+  }
+  NodeHarness(const NodeHarness&) = delete;
+  NodeHarness& operator=(const NodeHarness&) = delete;
+
+  /// Crash the node and boot a new one from its WAL: no volatile state of
+  /// the old incarnation survives.
+  void Reboot() {
+    node.reset();
+    wal->Crash({});
+    wal = test::BareNodeStorage(disk);
+    node = std::make_unique<Node>(id, opts, wal.get(), Rng(7), Send());
+  }
+
+  Node::SendFn Send() {
+    return [this](NodeId to, raft::MessagePtr m) { outbox.push_back({to, m}); };
   }
 
   /// Tick until the node starts an election (it will, eventually).
@@ -57,6 +76,11 @@ struct NodeHarness {
   }
   void Clear() { outbox.clear(); }
 
+  NodeId id;
+  Options opts;
+  std::shared_ptr<storage::SimDisk> disk =
+      std::make_shared<storage::SimDisk>();
+  std::unique_ptr<storage::WalStorage> wal = test::BareNodeStorage(disk);
   std::unique_ptr<Node> node;
   std::vector<Captured> outbox;
 };
@@ -339,10 +363,7 @@ TEST(NodeUnit, HeldAppendsDroppedOnNewTermRestartOrSnapshot) {
     NodeHarness h(1, {1, 2, 3});
     ExpectHeldAppendDiscarded(
         h,
-        [&] {
-          h.node->OnCrash();
-          h.node->OnRestart();
-        },
+        [&] { h.Reboot(); },
         2, AppendAfter(2, kT1, 1));
   }
   {
@@ -522,10 +543,12 @@ TEST(NodeUnit, RetiredNodeNeverCampaigns) {
   std::vector<Captured> outbox;
   Options opts;
   opts.machine_factory = kv::KvMachineFactory();
+  auto wal = test::BareNodeStorage();
   Node node(7, opts, genesis, Rng(3),
             [&outbox](NodeId to, raft::MessagePtr m) {
               outbox.push_back({to, m});
-            });
+            },
+            wal.get());
   for (int i = 0; i < 200; ++i) node.Tick();
   EXPECT_EQ(node.role(), Role::kFollower);
   EXPECT_TRUE(node.IsRetired());
@@ -760,8 +783,7 @@ TEST(NodeUnit, CrashRestartPreservesPersistentState) {
   h.node->Receive(1000, req);
   Index commit = h.node->commit_index();
   uint64_t term = h.node->current_et().raw();
-  h.node->OnCrash();
-  h.node->OnRestart();
+  h.Reboot();
   EXPECT_EQ(h.node->role(), Role::kFollower);  // volatile state reset
   EXPECT_EQ(h.node->commit_index(), commit);   // persistent state kept
   EXPECT_EQ(h.node->current_et().raw(), term);

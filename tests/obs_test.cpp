@@ -229,8 +229,10 @@ TEST(Obs, ReadRoundSpanPerOverlappingRound) {
   genesis.range = KeyRange::Full();
   genesis.uid = 99;
   std::vector<raft::MessagePtr> sent;
+  auto wal = BareNodeStorage();
   core::Node n(1, opts, genesis, Rng(7),
-               [&sent](NodeId, raft::MessagePtr m) { sent.push_back(m); });
+               [&sent](NodeId, raft::MessagePtr m) { sent.push_back(m); },
+               wal.get());
   for (int i = 0; i < 100 && n.role() != core::Role::kCandidate; ++i) {
     n.Tick();
   }

@@ -33,7 +33,7 @@ class ChaosMonkey {
   void Round() {
     // Heal previous damage with one-round lag.
     if (!healing_.empty()) {
-      for (NodeId n : healing_) w_.Restart(n);
+      for (NodeId n : healing_) ASSERT_TRUE(w_.Restart(n).ok());
       healing_.clear();
     }
     if (partitioned_) {
@@ -44,7 +44,7 @@ class ChaosMonkey {
     if (rng_.Chance(opts_.crash_prob)) {
       NodeId victim = nodes_[rng_.Uniform(0, nodes_.size() - 1)];
       if (!w_.IsCrashed(victim)) {
-        w_.Crash(victim);
+        ASSERT_TRUE(w_.Crash(victim).ok());
         healing_.push_back(victim);
       }
     }
@@ -61,7 +61,7 @@ class ChaosMonkey {
   }
 
   void HealAll() {
-    for (NodeId n : healing_) w_.Restart(n);
+    for (NodeId n : healing_) ASSERT_TRUE(w_.Restart(n).ok());
     healing_.clear();
     // One sweep clears partitions plus any blocks / per-link overrides;
     // the global drop probability is not link state, reset it explicitly.

@@ -14,11 +14,11 @@ TEST(Recovery, OfflineNodeCatchesUpFromPeers) {
   auto c = w.CreateCluster(3);
   ASSERT_TRUE(w.WaitForLeader(c));
   NodeId victim = c[0] == w.LeaderOf(c) ? c[1] : c[0];
-  w.Crash(victim);
+  ASSERT_TRUE(w.Crash(victim).ok());
   for (int i = 0; i < 10; ++i) {
     ASSERT_TRUE(w.Put(c, "k" + std::to_string(i), "v").ok());
   }
-  w.Restart(victim);
+  ASSERT_TRUE(w.Restart(victim).ok());
   ExpectConverged(w, c);
   EXPECT_EQ(harness::KvStoreOf(w.node(victim)).size(), 10u);
 }
@@ -59,14 +59,14 @@ TEST(Recovery, EpochBoundaryCapsPulledEntries) {
   std::vector<NodeId> g1{c[0], c[1], c[2]}, g2{c[3], c[4], c[5]};
   // A member of g2 sleeps through the split.
   NodeId sleeper = g2[2] == w.LeaderOf(c) ? g2[1] : g2[2];
-  w.Crash(sleeper);
+  ASSERT_TRUE(w.Crash(sleeper).ok());
   ASSERT_TRUE(w.AdminSplit(c, {g1, g2}, {"m"}).ok());
   ASSERT_TRUE(w.WaitForLeader(g1));
   // g1 commits fresh post-split entries the sleeper must never see.
   for (int i = 0; i < 5; ++i) {
     ASSERT_TRUE(w.Put(g1, "g1-" + std::to_string(i), "x").ok());
   }
-  w.Restart(sleeper);
+  ASSERT_TRUE(w.Restart(sleeper).ok());
   ASSERT_TRUE(w.RunUntil(
       [&]() {
         return w.node(sleeper).epoch() == 1 &&
@@ -117,7 +117,7 @@ TEST(Recovery, SnapshotFallbackAfterCompaction) {
   std::vector<NodeId> g1{c[0], c[1], c[2]}, g2{c[3], c[4], c[5]};
   NodeId sleeper = g2[1];
   if (sleeper == w.LeaderOf(c)) sleeper = g2[0];
-  w.Crash(sleeper);
+  ASSERT_TRUE(w.Crash(sleeper).ok());
   ASSERT_TRUE(w.AdminSplit(c, {g1, g2}, {"m"}).ok());
   std::vector<NodeId> g2_live;
   for (NodeId id : g2) {
@@ -127,7 +127,7 @@ TEST(Recovery, SnapshotFallbackAfterCompaction) {
   for (int i = 0; i < 40; ++i) {
     ASSERT_TRUE(w.Put(g2_live, "z" + std::to_string(i), "v").ok());
   }
-  w.Restart(sleeper);
+  ASSERT_TRUE(w.Restart(sleeper).ok());
   ASSERT_TRUE(w.RunUntil(
       [&]() {
         return w.node(sleeper).epoch() == 1 &&
@@ -147,7 +147,7 @@ TEST(Recovery, NamingServiceRestoresAbandonedNode) {
   ASSERT_TRUE(w.WaitForLeader(c));
   ASSERT_TRUE(w.Put(c, "k", "v").ok());
   NodeId sleeper = c[3] == w.LeaderOf(c) ? c[2] : c[3];
-  w.Crash(sleeper);
+  ASSERT_TRUE(w.Crash(sleeper).ok());
   // Remove the sleeper, then every other node it knew changes identity via
   // a split — its config members no longer answer as peers it can use.
   ASSERT_TRUE(w.AdminMemberChange(
@@ -165,7 +165,7 @@ TEST(Recovery, NamingServiceRestoresAbandonedNode) {
       },
       10 * kSecond));
   ASSERT_TRUE(w.Put(rest, "post", "x").ok());
-  w.Restart(sleeper);
+  ASSERT_TRUE(w.Restart(sleeper).ok());
   // The sleeper still believes in the old 4-node config; its peers answer
   // (they are alive), so it catches up and learns of its removal.
   ASSERT_TRUE(w.RunUntil([&]() { return w.node(sleeper).IsRetired(); },
@@ -201,7 +201,6 @@ TEST(Recovery, HardRebootAcrossSplitEpochBoundary) {
   // (epoch 0 state), and must cross the epoch boundary via pull/snapshot
   // recovery — ending in its own subcluster with no sibling keys leaked.
   WorldOptions opts = TestWorldOptions(20);
-  opts.storage = harness::StorageMode::kWal;
   opts.wal.flush_interval = 1 * kMillisecond;
   World w(opts);
   harness::SafetyChecker checker(w);
@@ -212,14 +211,13 @@ TEST(Recovery, HardRebootAcrossSplitEpochBoundary) {
   w.RunFor(50 * kMillisecond);
   std::vector<NodeId> g1{c[0], c[1], c[2]}, g2{c[3], c[4], c[5]};
   NodeId sleeper = g2[2] == w.LeaderOf(c) ? g2[1] : g2[2];
-  ASSERT_TRUE(
-      w.CrashNode(sleeper, {storage::CrashPoint::kPartialBatch}).ok());
+  ASSERT_TRUE(w.Crash(sleeper, {storage::CrashPoint::kPartialBatch}).ok());
   ASSERT_TRUE(w.AdminSplit(c, {g1, g2}, {"m"}).ok());
   ASSERT_TRUE(w.WaitForLeader(g1));
   for (int i = 0; i < 5; ++i) {
     ASSERT_TRUE(w.Put(g1, "g1-" + std::to_string(i), "x").ok());
   }
-  ASSERT_TRUE(w.RestartNode(sleeper).ok());
+  ASSERT_TRUE(w.Restart(sleeper).ok());
   // The reboot restored pre-split epoch-0 state from disk alone...
   EXPECT_EQ(w.node(sleeper).epoch(), 0u);
   // ...and the live protocols carry it across the boundary.
@@ -243,12 +241,12 @@ TEST(Recovery, CrashedLeaderRejoinsAsFollower) {
   auto c = w.CreateCluster(5);
   ASSERT_TRUE(w.WaitForLeader(c));
   NodeId old_leader = w.LeaderOf(c);
-  w.Crash(old_leader);
+  ASSERT_TRUE(w.Crash(old_leader).ok());
   ASSERT_TRUE(w.WaitForLeader(c));
   for (int i = 0; i < 5; ++i) {
     ASSERT_TRUE(w.Put(c, "k" + std::to_string(i), "v").ok());
   }
-  w.Restart(old_leader);
+  ASSERT_TRUE(w.Restart(old_leader).ok());
   ExpectConverged(w, c);
   EXPECT_EQ(harness::KvStoreOf(w.node(old_leader)).size(), 5u);
   // Exactly one leader afterwards.

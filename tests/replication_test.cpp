@@ -51,11 +51,11 @@ TEST(Replication, FollowerCatchesUpAfterCrash) {
   ASSERT_TRUE(w.WaitForLeader(c));
   NodeId leader = w.LeaderOf(c);
   NodeId follower = c[0] == leader ? c[1] : c[0];
-  w.Crash(follower);
+  ASSERT_TRUE(w.Crash(follower).ok());
   for (int i = 0; i < 10; ++i) {
     ASSERT_TRUE(w.Put(c, "k" + std::to_string(i), "v").ok());
   }
-  w.Restart(follower);
+  ASSERT_TRUE(w.Restart(follower).ok());
   ExpectConverged(w, c);
   EXPECT_EQ(harness::KvStoreOf(w.node(follower)).size(), 10u);
 }
@@ -68,7 +68,7 @@ TEST(Replication, SurvivesLeaderCrashWithoutLosingCommits) {
     ASSERT_TRUE(w.Put(c, "pre" + std::to_string(i), "v").ok());
   }
   NodeId leader = w.LeaderOf(c);
-  w.Crash(leader);
+  ASSERT_TRUE(w.Crash(leader).ok());
   ASSERT_TRUE(w.WaitForLeader(c));
   for (int i = 0; i < 5; ++i) {
     auto v = w.Get(c, "pre" + std::to_string(i));
@@ -143,13 +143,13 @@ TEST(Replication, SnapshotInstallForFarBehindFollower) {
   ASSERT_TRUE(w.WaitForLeader(c));
   NodeId leader = w.LeaderOf(c);
   NodeId follower = c[0] == leader ? c[1] : c[0];
-  w.Crash(follower);
+  ASSERT_TRUE(w.Crash(follower).ok());
   for (int i = 0; i < 60; ++i) {
     ASSERT_TRUE(w.Put(c, "s" + std::to_string(i), "v").ok());
   }
   // The leader compacted past the follower's position.
   ASSERT_GT(w.node(w.LeaderOf(c)).log().base_index(), 0u);
-  w.Restart(follower);
+  ASSERT_TRUE(w.Restart(follower).ok());
   ExpectConverged(w, c);
   EXPECT_EQ(harness::KvStoreOf(w.node(follower)).size(), 60u);
   EXPECT_GT(w.node(follower).counters().Get("recovery.install_snapshot"), 0u);
@@ -206,10 +206,10 @@ TEST(Replication, StateMachineSafetyUnderRandomFaults) {
   Rng rng(77);
   for (int round = 0; round < 10; ++round) {
     NodeId victim = c[rng.Uniform(0, c.size() - 1)];
-    w.Crash(victim);
+    ASSERT_TRUE(w.Crash(victim).ok());
     (void)w.Put(c, "r" + std::to_string(round), "v", 2 * kSecond);
     w.RunFor(300 * kMillisecond);
-    w.Restart(victim);
+    ASSERT_TRUE(w.Restart(victim).ok());
     w.RunFor(300 * kMillisecond);
   }
   ExpectConverged(w, c, 10 * kSecond);

@@ -301,9 +301,9 @@ TEST(ShardPlane, RebalanceChaosUnderClientLoad) {
       // Crash a random serving node mid-plane and restart it a bit later.
       auto shards = w.shard_map().Shards();
       NodeId victim = shards[shards.size() / 2].members.front();
-      w.Crash(victim);
+      ASSERT_TRUE(w.Crash(victim).ok());
       w.RunFor(500 * kMillisecond);
-      w.Restart(victim);
+      ASSERT_TRUE(w.Restart(victim).ok());
     }
     w.RunFor(kSecond);
   }
@@ -336,7 +336,6 @@ TEST(ShardPlane, DriverSurvivesHardCrashedShardDuringRebalance) {
   // whose split pass (dead shard is the biggest) and merge pass (dead
   // shards are the coldest pair) both try to touch it.
   auto opts = TestWorldOptions(26);
-  opts.storage = harness::StorageMode::kWal;  // enables CrashNode
   World w(opts);
   auto ids = w.BootstrapShards(3, 3, shard::UniformKeyBoundaries("k", 900, 3));
   ASSERT_TRUE(ids.ok());
@@ -351,7 +350,7 @@ TEST(ShardPlane, DriverSurvivesHardCrashedShardDuringRebalance) {
   // Take the middle shard fully down — object destroyed, disk retained.
   auto shards = w.shard_map().Shards();
   for (NodeId id : shards[1].members) {
-    ASSERT_TRUE(w.CrashNode(id).ok());
+    ASSERT_TRUE(w.Crash(id).ok());
   }
 
   shard::NativeRebalancer rb(w, 5 * kSecond);
@@ -370,7 +369,7 @@ TEST(ShardPlane, DriverSurvivesHardCrashedShardDuringRebalance) {
 
   // Reboot the shard from its durable media; the plane recovers fully.
   for (NodeId id : shards[1].members) {
-    ASSERT_TRUE(w.RestartNode(id).ok());
+    ASSERT_TRUE(w.Restart(id).ok());
   }
   ASSERT_TRUE(w.WaitForLeader(shards[1].members, 10 * kSecond));
   EXPECT_TRUE(w.Put(shards[1].members, shards[1].range.lo(), "back").ok());

@@ -269,7 +269,6 @@ Result<raft::ClientReply> QueueCall(World& w,
 TEST(QueueWorld, SplitMergeCrashIntegration) {
   auto opts = TestWorldOptions(31);
   opts.node.machine_factory = sm::QueueMachineFactory();
-  opts.storage = harness::StorageMode::kWal;  // enables CrashNode
   World w(opts);
   harness::SafetyChecker checker(w);
   checker.AttachPeriodic();
@@ -315,9 +314,9 @@ TEST(QueueWorld, SplitMergeCrashIntegration) {
   // queue machine.
   NodeId victim = w.LeaderOf(g2);
   ASSERT_NE(victim, kNoNode);
-  ASSERT_TRUE(w.CrashNode(victim).ok());
+  ASSERT_TRUE(w.Crash(victim).ok());
   w.RunFor(500 * kMillisecond);
-  ASSERT_TRUE(w.RestartNode(victim).ok());
+  ASSERT_TRUE(w.Restart(victim).ok());
   ASSERT_TRUE(w.WaitForLeader(g2, 10 * kSecond));
   auto enq = QueueCall(w, g2, Enq("q1", "post-crash", 900, ++seq));
   ASSERT_TRUE(enq.ok() && enq->status.ok());

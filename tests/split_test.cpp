@@ -76,7 +76,7 @@ TEST(Split, SubclustersEvolveIndependently) {
   EXPECT_EQ(*w.Get(g1, "a9"), "new-left");
   EXPECT_EQ(*w.Get(g2, "z9"), "new-right");
   // Kill g2 entirely: g1 is unaffected (self-contained independence).
-  for (NodeId id : g2) w.Crash(id);
+  for (NodeId id : g2) ASSERT_TRUE(w.Crash(id).ok());
   ASSERT_TRUE(w.Put(g1, "a10", "still-alive").ok());
 }
 
@@ -146,11 +146,11 @@ TEST(Split, MissedFollowerCatchesUpViaPull) {
   auto& c = f.cluster;
   std::vector<NodeId> g1{c[0], c[1], c[2]}, g2{c[3], c[4], c[5]};
   // One member of g2 misses the whole split.
-  w.Crash(c[5]);
+  ASSERT_TRUE(w.Crash(c[5]).ok());
   ASSERT_TRUE(w.AdminSplit(c, {g1, g2}, {"m"}).ok());
   ASSERT_TRUE(w.WaitForLeader(g1));
   ASSERT_TRUE(w.WaitForLeader({c[3], c[4]}));
-  w.Restart(c[5]);
+  ASSERT_TRUE(w.Restart(c[5]).ok());
   // It recovers: epoch 1, member of g2, data restricted.
   ASSERT_TRUE(w.RunUntil(
       [&]() {
@@ -242,7 +242,7 @@ TEST(Split, LeaderCrashBetweenPhases) {
   // Fire the split and kill the leader almost immediately: the new leader
   // holding C_joint (or C_new) finishes the protocol.
   (void)w.AdminSplit(c, {g1, g2}, {"m"}, /*timeout=*/50 * kMillisecond);
-  w.Crash(leader);
+  ASSERT_TRUE(w.Crash(leader).ok());
   ASSERT_TRUE(w.RunUntil(
       [&]() {
         for (NodeId id : c) {
@@ -252,7 +252,7 @@ TEST(Split, LeaderCrashBetweenPhases) {
         return true;
       },
       20 * kSecond));
-  w.Restart(leader);
+  ASSERT_TRUE(w.Restart(leader).ok());
   w.RunFor(3 * kSecond);
   EXPECT_TRUE(checker.ok()) << checker.Report();
   // Whether the split completed or rolled back, both sides must be able to

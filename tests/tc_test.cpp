@@ -120,7 +120,7 @@ TEST(TcSplit, CmCrashStallsOperation) {
   // StartSplit enters the remove phase synchronously; kill the CM before a
   // single removal can complete (round trips take ~ms of simulated time).
   ASSERT_EQ(cm.phase(), CmPhase::kRemoving);
-  f.w.Crash(kCmId);
+  ASSERT_TRUE(f.w.Crash(kCmId).ok());
   f.w.RunFor(10 * kSecond);
   EXPECT_FALSE(cm.done());
   // The split-out group never starts serving its own range: no node of g2
@@ -143,7 +143,7 @@ TEST(TcSplit, StandbyCmTakesOver) {
       [&]() { return primary.phase() == CmPhase::kSnapshotting ||
                      primary.done(); },
       10 * kSecond));
-  f.w.Crash(kCmId);
+  ASSERT_TRUE(f.w.Crash(kCmId).ok());
   ASSERT_TRUE(f.w.RunUntil([&]() { return standby.done(); }, 60 * kSecond))
       << "standby stuck in " << tc::CmPhaseName(standby.phase());
   std::vector<NodeId> g1{f.cluster[0], f.cluster[1], f.cluster[2]};

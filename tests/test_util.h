@@ -5,11 +5,14 @@
 #include <stdlib.h>
 
 #include <filesystem>
+#include <memory>
 #include <string>
 
 #include "harness/checkers.h"
 #include "harness/client.h"
 #include "harness/world.h"
+#include "storage/sim_disk.h"
+#include "storage/wal_storage.h"
 
 namespace recraft::test {
 
@@ -31,6 +34,16 @@ inline raft::MemberChange Change(raft::MemberChangeKind kind,
   mc.kind = kind;
   mc.nodes = std::move(nodes);
   return mc;
+}
+
+/// Storage for a core::Node built by hand, outside any World: a WalStorage
+/// over `disk` with no clock and flush_interval 0, so every record is
+/// durable inside the call that wrote it. Pass a crashed node's disk to
+/// reboot it from what it left.
+inline std::unique_ptr<storage::WalStorage> BareNodeStorage(
+    std::shared_ptr<storage::SimDisk> disk =
+        std::make_shared<storage::SimDisk>()) {
+  return std::make_unique<storage::WalStorage>(std::move(disk), nullptr);
 }
 
 /// Assert that every live member of `members` eventually converges to the

@@ -64,7 +64,7 @@ TEST(Workload, FleetSurvivesLeaderCrash) {
   fleet.Start();
   w.RunFor(kSecond);
   uint64_t before_crash = fleet.TotalOps();
-  w.Crash(w.LeaderOf(c));
+  ASSERT_TRUE(w.Crash(w.LeaderOf(c)).ok());
   w.RunFor(3 * kSecond);
   fleet.Stop();
   // Clients rode out the failover via retries and kept completing ops.
@@ -178,13 +178,13 @@ TEST(Workload, ReadsObserveLatestWrite) {
     EXPECT_EQ(*got, value);
     if (i == 10) {
       // A failover in the middle must not lose the acknowledged value.
-      w.Crash(w.LeaderOf(c));
+      ASSERT_TRUE(w.Crash(w.LeaderOf(c)).ok());
       ASSERT_TRUE(w.WaitForLeader(c));
       auto after = w.Get(c, "hot");
       ASSERT_TRUE(after.ok());
       EXPECT_EQ(*after, value);
       for (NodeId id : c) {
-        if (w.IsCrashed(id)) w.Restart(id);
+        if (w.IsCrashed(id)) ASSERT_TRUE(w.Restart(id).ok());
       }
     }
   }
@@ -290,11 +290,11 @@ TEST(Workload, MixedGetScanCasUnderSplitMergeCrashChurn) {
 
   // Crash/restart a follower of each side mid-traffic.
   for (NodeId victim : {g1[1], g2[1]}) {
-    w.Crash(victim);
+    ASSERT_TRUE(w.Crash(victim).ok());
   }
   w.RunFor(500 * kMillisecond);
   for (NodeId victim : {g1[1], g2[1]}) {
-    w.Restart(victim);
+    ASSERT_TRUE(w.Restart(victim).ok());
   }
   w.RunFor(kSecond);
 

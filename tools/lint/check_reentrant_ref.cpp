@@ -47,7 +47,7 @@ constexpr std::array kReentrantCalls = {
     // Harness / placement: these run the simulated event loop (and with it
     // arbitrary node code) or rewrite the shard map / world node set.
     "RunFor", "RunUntil", "RunUntilPred", "RunUntilQuiescent",
-    "SplitShard", "MergeShards", "WipeNode", "CrashNode", "RestartNode",
+    "SplitShard", "MergeShards", "WipeNode", "Crash", "Restart",
     "CreateSpareNode", "BootstrapCluster", "BootstrapShards",
     "ReconcileRegion",
     // The Rebalancer surface: both implementations drive the whole
