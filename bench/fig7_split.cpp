@@ -6,7 +6,7 @@
 //      (TC, broken into remove / snapshot / restart) for 2- and 3-way
 //      splits with 100 / 1 K / 10 K preloaded KV pairs.
 #include "bench/bench_util.h"
-#include "tc/cluster_manager.h"
+#include "bench/tc/cluster_manager.h"
 
 namespace recraft::bench {
 namespace {
@@ -136,7 +136,7 @@ LatencyRow LatencyPoint(int ways, size_t kv_pairs) {
                              cluster.begin() + (i + 1) * 3);
     }
     op.ranges = ranges;
-    auto t = tc::RunTcSplit(w, 800, op, {}, 300 * kSecond);
+    auto t = tc::RunTcSplit(w, 800, op, 300 * kSecond);
     if (t.ok()) {
       row.tc_remove_ms = Ms(t->remove);
       row.tc_snapshot_ms = Ms(t->snapshot);

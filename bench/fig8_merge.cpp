@@ -6,7 +6,7 @@
 //      snapshot exchange) vs the TC emulation (snapshot coalescing and
 //      node rejoin) for 2- and 3-way merges with 100 / 1 K / 10 K pairs.
 #include "bench/bench_util.h"
-#include "tc/cluster_manager.h"
+#include "bench/tc/cluster_manager.h"
 
 namespace recraft::bench {
 namespace {
@@ -164,7 +164,7 @@ LatencyRow LatencyPoint(int ways, size_t kv_pairs) {
     tc::MergeOp op;
     op.clusters = clusters;
     op.ranges = ranges;
-    auto t = tc::RunTcMerge(w, 800, op, {}, 600 * kSecond);
+    auto t = tc::RunTcMerge(w, 800, op, 600 * kSecond);
     if (t.ok()) {
       row.tc_snapshot_ms = Ms(t->snapshot + t->inject);
       row.tc_rejoin_ms = Ms(t->rejoin + t->terminate);

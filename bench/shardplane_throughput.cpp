@@ -14,6 +14,7 @@
 #include <memory>
 
 #include "bench/bench_util.h"
+#include "bench/tc/cluster_manager.h"
 #include "shard/placement.h"
 
 namespace recraft::bench {
@@ -58,7 +59,7 @@ PlaneResult RunPlane(const char* mode, const PlaneConfig& cfg) {
   if (std::strcmp(mode, "native") == 0) {
     rb = std::make_unique<shard::NativeRebalancer>(w, 120 * kSecond);
   } else {
-    rb = std::make_unique<shard::TcRebalancer>(w, 120 * kSecond);
+    rb = std::make_unique<tc::TcRebalancer>(w, 120 * kSecond);
   }
   shard::PlacementOptions popts;
   // Force continuous rebalancing: any shard is big enough to split, any

@@ -7,7 +7,7 @@
 // failure and checks the operation completes. Subcluster sizes are 3
 // (f_sub = 1); the initial 2-way cluster has 6 nodes (f_old = 2).
 #include "bench/bench_util.h"
-#include "tc/cluster_manager.h"
+#include "bench/tc/cluster_manager.h"
 
 namespace recraft::bench {
 namespace {

@@ -1,8 +1,54 @@
-#include "tc/cluster_manager.h"
+#include "bench/tc/cluster_manager.h"
+
+#include <algorithm>
 
 #include "common/logging.h"
 
 namespace recraft::tc {
+
+namespace {
+
+constexpr Duration kTickInterval = 10 * kMillisecond;
+constexpr Duration kRetryInterval = 100 * kMillisecond;
+/// Emulated time to restart a wiped node as a member of the new cluster.
+constexpr Duration kRestartDelay = 200 * kMillisecond;
+
+/// One vanilla AR-RPC membership step, retried the way the admin-tool
+/// script would: "P1: uncommitted configuration entry" just means the
+/// previous step has not committed yet, and "already/not a member" means a
+/// retransmitted step already took effect.
+Status ArRpcStep(harness::World& w, const std::vector<NodeId>& members,
+                 raft::MemberChangeKind kind, NodeId node, Duration timeout) {
+  TimePoint deadline = w.now() + timeout;
+  bool want_member = kind == raft::MemberChangeKind::kAddServer;
+  for (;;) {
+    raft::MemberChange mc;
+    mc.kind = kind;
+    mc.nodes = {node};
+    Status s = w.AdminMemberChange(
+        members, mc, deadline > w.now() ? deadline - w.now() : 0);
+    if (s.ok()) break;
+    // A retransmitted step that already took effect is rejected with
+    // exactly these validation messages (same idempotency rule as the CM).
+    if (s.code() == Code::kRejected &&
+        (s.message().find("already a member") != std::string::npos ||
+         s.message().find("not a member") != std::string::npos)) {
+      break;
+    }
+    if (s.code() != Code::kRejected || w.now() >= deadline) return s;
+    w.RunFor(100 * kMillisecond);
+  }
+  bool settled = w.RunUntil(
+      [&]() {
+        raft::ConfigState cfg = w.ConfigOf(members);
+        return cfg.IsMember(node) == want_member;
+      },
+      deadline > w.now() ? deadline - w.now() : 0);
+  return settled ? OkStatus()
+                 : Timeout("AR-RPC membership step did not settle");
+}
+
+}  // namespace
 
 const char* CmPhaseName(CmPhase p) {
   switch (p) {
@@ -22,8 +68,8 @@ const char* CmPhaseName(CmPhase p) {
 }
 
 ClusterManager::ClusterManager(harness::World& world, NodeId id,
-                               TcOptions opts)
-    : world_(world), id_(id), opts_(opts) {
+                               uint64_t op_salt)
+    : world_(world), id_(id), op_salt_(op_salt) {
   world_.net().Register(
       id_, [this](NodeId from, std::shared_ptr<const void> payload, size_t,
                   obs::TraceCtx) {
@@ -32,13 +78,13 @@ ClusterManager::ClusterManager(harness::World& world, NodeId id,
       });
   // Self-rescheduling tick, frozen (but still re-armed) while crashed.
   tick_event_ =
-      world_.events().Schedule(opts_.tick_interval, [this]() { RearmTick(); });
+      world_.events().Schedule(kTickInterval, [this]() { RearmTick(); });
 }
 
 void ClusterManager::RearmTick() {
   if (!world_.IsCrashed(id_)) Tick();
   tick_event_ =
-      world_.events().Schedule(opts_.tick_interval, [this]() { RearmTick(); });
+      world_.events().Schedule(kTickInterval, [this]() { RearmTick(); });
 }
 
 ClusterManager::~ClusterManager() {
@@ -141,11 +187,11 @@ void ClusterManager::Tick() {
     }
     return;
   }
-  if (retry_countdown_ > opts_.tick_interval) {
-    retry_countdown_ -= opts_.tick_interval;
+  if (retry_countdown_ > kTickInterval) {
+    retry_countdown_ -= kTickInterval;
     return;
   }
-  retry_countdown_ = opts_.retry_interval;
+  retry_countdown_ = kRetryInterval;
   leader_hint_ = kNoNode;  // re-probe on retry
   SendCurrent();
 }
@@ -202,7 +248,7 @@ void ClusterManager::SplitAdvance() {
       // Bootstrap every node of the group, then hold for the restart delay.
       pending_acks_.clear();
       for (NodeId n : op.groups[group_cursor_]) pending_acks_.insert(n);
-      restart_ready_at_ = world_.now() + opts_.restart_delay;
+      restart_ready_at_ = world_.now() + kRestartDelay;
       SendCurrent();
       return;
     }
@@ -312,12 +358,14 @@ void ClusterManager::SendCurrent() {
         genesis.members = op.groups[group_cursor_];
         std::sort(genesis.members.begin(), genesis.members.end());
         genesis.range = op.ranges[group_cursor_];
-        genesis.uid =
-            Mix64(0x7c17 + opts_.op_salt, Mix64(id_, group_cursor_ + op_seq_));
+        // From the op and the group only, never the CM's id: a standby
+        // re-executing the op must send the identity the primary sent, so
+        // nodes already bootstrapped ack instead of wiping again.
+        genesis.uid = Mix64(0x7c17 + op_salt_, group_cursor_);
         for (NodeId n : pending_acks_) {
           raft::BootstrapReq req;
           req.from = id_;
-          req.op_id = opts_.op_salt * 100000 + op_seq_ * 1000 + group_cursor_;
+          req.op_id = op_salt_ * 100000 + 1000 + group_cursor_;
           req.genesis = genesis;
           req.data = snaps_[group_cursor_];
           auto msg = raft::MakeMessage(raft::Message(req));
@@ -382,11 +430,11 @@ void ClusterManager::SendCurrent() {
         raft::ConfigState empty;
         empty.members = {};
         empty.range = KeyRange::Empty();
-        empty.uid = Mix64(0xdead + opts_.op_salt, op_seq_);
+        empty.uid = Mix64(0xdead + op_salt_, 1);
         for (NodeId n : pending_acks_) {
           raft::BootstrapReq req;
           req.from = id_;
-          req.op_id = opts_.op_salt * 100000 + op_seq_ * 2000 + group_cursor_;
+          req.op_id = op_salt_ * 100000 + 2000 + group_cursor_;
           req.genesis = empty;
           auto msg = raft::MakeMessage(raft::Message(req));
           world_.net().Send(id_, n, msg, msg.wire_bytes());
@@ -430,7 +478,7 @@ void ClusterManager::OnMessage(NodeId from, const raft::Message& m) {
         Advance();
       } else if (phase_ == CmPhase::kMergeRejoin) {
         ++node_cursor_;
-        retry_countdown_ = opts_.retry_interval;  // let the joiner settle
+        retry_countdown_ = kRetryInterval;  // let the joiner settle
         Advance();
       } else if (phase_ == CmPhase::kRangeChange) {
         RecordPhaseDuration();
@@ -497,8 +545,8 @@ void ClusterManager::OnMessage(NodeId from, const raft::Message& m) {
 // ---------------------------------------------------------------------------
 
 Result<CmTimings> RunTcSplit(harness::World& world, NodeId cm_id, SplitOp op,
-                             TcOptions opts, Duration timeout) {
-  ClusterManager cm(world, cm_id, opts);
+                             Duration timeout, uint64_t op_salt) {
+  ClusterManager cm(world, cm_id, op_salt);
   cm.StartSplit(std::move(op));
   bool ok = world.RunUntil([&]() { return cm.done() || cm.failed(); }, timeout);
   if (!ok || cm.failed()) {
@@ -509,8 +557,8 @@ Result<CmTimings> RunTcSplit(harness::World& world, NodeId cm_id, SplitOp op,
 }
 
 Result<CmTimings> RunTcMerge(harness::World& world, NodeId cm_id, MergeOp op,
-                             TcOptions opts, Duration timeout) {
-  ClusterManager cm(world, cm_id, opts);
+                             Duration timeout, uint64_t op_salt) {
+  ClusterManager cm(world, cm_id, op_salt);
   cm.StartMerge(std::move(op));
   bool ok = world.RunUntil([&]() { return cm.done() || cm.failed(); }, timeout);
   if (!ok || cm.failed()) {
@@ -518,6 +566,80 @@ Result<CmTimings> RunTcMerge(harness::World& world, NodeId cm_id, MergeOp op,
                    CmPhaseName(cm.phase()));
   }
   return cm.timings();
+}
+
+// ---------------------------------------------------------------------------
+// TcRebalancer.
+
+using shard::DescribeGroup;
+using shard::HalveMembers;
+using shard::RebalanceResult;
+using shard::ShardInfo;
+
+Result<RebalanceResult> TcRebalancer::Split(
+    const ShardInfo& shard, const std::string& split_key,
+    const std::vector<NodeId>& extra_nodes) {
+  std::vector<NodeId> members = shard.members;
+  // The admin-tool script grows the cluster one AR-RPC at a time.
+  for (NodeId n : extra_nodes) {
+    Status s = ArRpcStep(world_, members, raft::MemberChangeKind::kAddServer,
+                         n, op_timeout_);
+    if (!s.ok()) return s;
+    members.push_back(n);
+  }
+  if (members.size() < 2) return Rejected("not enough members to split");
+  std::sort(members.begin(), members.end());
+  std::vector<NodeId> left, right;
+  HalveMembers(members, &left, &right);
+  auto ranges = shard.range.SplitAt({split_key});
+  if (!ranges.ok()) return ranges.status();
+
+  SplitOp op;
+  op.source_members = members;
+  op.groups = {left, right};
+  op.ranges = *ranges;
+  auto timings =
+      RunTcSplit(world_, next_cm_id_++, op, op_timeout_, next_salt_++);
+  if (!timings.ok()) return timings.status();
+  if (!world_.WaitForLeader(left, op_timeout_) ||
+      !world_.WaitForLeader(right, op_timeout_)) {
+    return Timeout("TC split groups did not elect leaders");
+  }
+  RebalanceResult out;
+  out.shards = {DescribeGroup(world_, left), DescribeGroup(world_, right)};
+  return out;
+}
+
+Result<RebalanceResult> TcRebalancer::Merge(const ShardInfo& left,
+                                            const ShardInfo& right) {
+  MergeOp op;
+  op.clusters = {left.members, right.members};
+  op.ranges = {left.range, right.range};
+  auto timings =
+      RunTcMerge(world_, next_cm_id_++, op, op_timeout_, next_salt_++);
+  if (!timings.ok()) return timings.status();
+
+  // The CM script rejoined the absorbed nodes into the survivor; shrink
+  // back to the survivor's original staffing (again AR-RPC style) so the
+  // freed nodes can staff future splits, mirroring the native path.
+  std::vector<NodeId> survivors = left.members;
+  std::vector<NodeId> current = survivors;
+  current.insert(current.end(), right.members.begin(), right.members.end());
+  std::sort(current.begin(), current.end());
+  for (NodeId n : right.members) {
+    current.erase(std::remove(current.begin(), current.end(), n),
+                  current.end());
+    Status s = ArRpcStep(world_, current, raft::MemberChangeKind::kRemoveServer,
+                         n, op_timeout_);
+    if (!s.ok()) return s;
+  }
+  if (!world_.WaitForLeader(survivors, op_timeout_)) {
+    return Timeout("TC merged shard did not elect a leader");
+  }
+  RebalanceResult out;
+  out.shards = {DescribeGroup(world_, survivors)};
+  out.freed = right.members;
+  return out;
 }
 
 }  // namespace recraft::tc

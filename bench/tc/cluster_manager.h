@@ -15,25 +15,19 @@
 // out (Table I). An optional standby list emulates a replicated CM: a
 // standby adopts and idempotently re-executes the operation when the
 // primary dies.
+//
+// TcRebalancer puts the CM behind the placement driver's Rebalancer seam,
+// so the shardplane bench runs the same placement policy over this
+// baseline that it runs over native ReCraft.
 #pragma once
 
 #include <optional>
 #include <set>
 
 #include "harness/world.h"
+#include "shard/rebalancer.h"
 
 namespace recraft::tc {
-
-struct TcOptions {
-  Duration tick_interval = 10 * kMillisecond;
-  Duration retry_interval = 100 * kMillisecond;
-  /// Emulated time to restart a wiped node as a member of the new cluster.
-  Duration restart_delay = 200 * kMillisecond;
-  /// Mixed into bootstrap identities and idempotency tokens. Callers that
-  /// run many operations (the shard-plane rebalancer) pass a fresh salt per
-  /// operation so a later op's BootstrapReq can never alias an earlier one.
-  uint64_t op_salt = 0;
-};
 
 struct SplitOp {
   std::vector<NodeId> source_members;           // current cluster
@@ -78,7 +72,12 @@ struct CmTimings {
 
 class ClusterManager {
  public:
-  ClusterManager(harness::World& world, NodeId id, TcOptions opts = {});
+  /// `op_salt` is mixed into bootstrap identities and idempotency tokens.
+  /// Callers that run many operations (the shard-plane rebalancer) pass a
+  /// fresh salt per operation so a later op's BootstrapReq can never alias
+  /// an earlier one. A standby given the same salt as its primary re-sends
+  /// identical BootstrapReqs, which nodes already bootstrapped just ack.
+  ClusterManager(harness::World& world, NodeId id, uint64_t op_salt = 0);
   ~ClusterManager();
 
   /// Begin driving the operation. A standby (see MonitorAsStandby) stores
@@ -113,7 +112,7 @@ class ClusterManager {
 
   harness::World& world_;
   const NodeId id_;
-  TcOptions opts_;
+  const uint64_t op_salt_;
 
   CmPhase phase_ = CmPhase::kIdle;
   std::optional<SplitOp> split_;
@@ -128,7 +127,6 @@ class ClusterManager {
   std::map<size_t, sm::SnapshotPtr> snaps_;  // per group/cluster
   std::set<NodeId> pending_acks_;
   std::set<uint64_t> step_reqs_;  // outstanding request ids for this step
-  uint64_t op_seq_ = 1;
   TimePoint restart_ready_at_ = 0;
   Duration retry_countdown_ = 0;
   NodeId leader_hint_ = kNoNode;
@@ -142,10 +140,38 @@ class ClusterManager {
 /// Convenience synchronous drivers used by tests and benches: run the world
 /// until the CM finishes (or times out).
 Result<CmTimings> RunTcSplit(harness::World& world, NodeId cm_id, SplitOp op,
-                             TcOptions opts = {},
-                             Duration timeout = 120 * kSecond);
+                             Duration timeout = 120 * kSecond,
+                             uint64_t op_salt = 0);
 Result<CmTimings> RunTcMerge(harness::World& world, NodeId cm_id, MergeOp op,
-                             TcOptions opts = {},
-                             Duration timeout = 120 * kSecond);
+                             Duration timeout = 120 * kSecond,
+                             uint64_t op_salt = 0);
+
+/// The native rebalancer's operations scripted by an external cluster
+/// manager (membership changes + snapshot migration + node restarts), one
+/// fresh CM actor per operation. After a TC merge the rejoined nodes are
+/// removed again AR-RPC-style so both paths keep shards at their staffed
+/// size and return the same freed set.
+class TcRebalancer : public shard::Rebalancer {
+ public:
+  explicit TcRebalancer(harness::World& world,
+                        Duration op_timeout = 120 * kSecond)
+      : world_(world), op_timeout_(op_timeout) {}
+
+  Result<shard::RebalanceResult> Split(
+      const shard::ShardInfo& shard, const std::string& split_key,
+      const std::vector<NodeId>& extra_nodes) override;
+  Result<shard::RebalanceResult> Merge(const shard::ShardInfo& left,
+                                       const shard::ShardInfo& right) override;
+
+ private:
+  /// Each operation's CM takes the next id up from here, far above the node
+  /// ids a world allocates (counting from 1).
+  static constexpr NodeId kFirstCmId = 500000;
+
+  harness::World& world_;
+  Duration op_timeout_;
+  NodeId next_cm_id_ = kFirstCmId;
+  uint64_t next_salt_ = 1;
+};
 
 }  // namespace recraft::tc

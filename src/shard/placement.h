@@ -1,7 +1,7 @@
 // The placement driver: the policy loop that turns per-shard size/load
 // metrics into split and merge decisions and drives them through a
-// Rebalancer (native ReCraft or the TC baseline), updating the hosted
-// shard map with an atomic delta after each completed operation. Freed
+// Rebalancer (native ReCraft, or the TC baseline in bench/tc), updating the
+// hosted shard map with an atomic delta after each completed operation. Freed
 // nodes are wiped and pooled as spares that staff future splits, so a
 // long-running plane recycles its fleet instead of growing it.
 #pragma once

@@ -2,14 +2,8 @@
 
 #include <algorithm>
 
-#include "tc/cluster_manager.h"
-
 namespace recraft::shard {
 
-namespace {
-
-/// Read back a group's authoritative state into a shard entry (id left for
-/// the map to assign).
 ShardInfo DescribeGroup(harness::World& w, const std::vector<NodeId>& members) {
   ShardInfo s;
   raft::ConfigState cfg = w.ConfigOf(members);
@@ -23,50 +17,12 @@ ShardInfo DescribeGroup(harness::World& w, const std::vector<NodeId>& members) {
   return s;
 }
 
-/// Halve a sorted member list into two groups for a split.
 void HalveMembers(const std::vector<NodeId>& members,
                   std::vector<NodeId>* left, std::vector<NodeId>* right) {
   size_t half = members.size() / 2;
   left->assign(members.begin(), members.begin() + half);
   right->assign(members.begin() + half, members.end());
 }
-
-/// One vanilla AR-RPC membership step, retried the way the admin-tool
-/// script would: "P1: uncommitted configuration entry" just means the
-/// previous step has not committed yet, and "already/not a member" means a
-/// retransmitted step already took effect.
-Status ArRpcStep(harness::World& w, const std::vector<NodeId>& members,
-                 raft::MemberChangeKind kind, NodeId node, Duration timeout) {
-  TimePoint deadline = w.now() + timeout;
-  bool want_member = kind == raft::MemberChangeKind::kAddServer;
-  for (;;) {
-    raft::MemberChange mc;
-    mc.kind = kind;
-    mc.nodes = {node};
-    Status s = w.AdminMemberChange(
-        members, mc, deadline > w.now() ? deadline - w.now() : 0);
-    if (s.ok()) break;
-    // A retransmitted step that already took effect is rejected with
-    // exactly these validation messages (same idempotency rule as the CM).
-    if (s.code() == Code::kRejected &&
-        (s.message().find("already a member") != std::string::npos ||
-         s.message().find("not a member") != std::string::npos)) {
-      break;
-    }
-    if (s.code() != Code::kRejected || w.now() >= deadline) return s;
-    w.RunFor(100 * kMillisecond);
-  }
-  bool settled = w.RunUntil(
-      [&]() {
-        raft::ConfigState cfg = w.ConfigOf(members);
-        return cfg.IsMember(node) == want_member;
-      },
-      deadline > w.now() ? deadline - w.now() : 0);
-  return settled ? OkStatus()
-                 : Timeout("AR-RPC membership step did not settle");
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // Native (ReCraft) path.
@@ -125,77 +81,6 @@ Result<RebalanceResult> NativeRebalancer::Merge(const ShardInfo& left,
   if (!served) return Timeout("merged shard did not resume serving");
   RebalanceResult out;
   out.shards = {DescribeGroup(world_, resume)};
-  out.freed = right.members;
-  return out;
-}
-
-// ---------------------------------------------------------------------------
-// TC baseline.
-
-Result<RebalanceResult> TcRebalancer::Split(
-    const ShardInfo& shard, const std::string& split_key,
-    const std::vector<NodeId>& extra_nodes) {
-  std::vector<NodeId> members = shard.members;
-  // The admin-tool script grows the cluster one AR-RPC at a time.
-  for (NodeId n : extra_nodes) {
-    Status s = ArRpcStep(world_, members, raft::MemberChangeKind::kAddServer,
-                         n, op_timeout_);
-    if (!s.ok()) return s;
-    members.push_back(n);
-  }
-  if (members.size() < 2) return Rejected("not enough members to split");
-  std::sort(members.begin(), members.end());
-  std::vector<NodeId> left, right;
-  HalveMembers(members, &left, &right);
-  auto ranges = shard.range.SplitAt({split_key});
-  if (!ranges.ok()) return ranges.status();
-
-  tc::SplitOp op;
-  op.source_members = members;
-  op.groups = {left, right};
-  op.ranges = *ranges;
-  tc::TcOptions topts;
-  topts.op_salt = next_salt_++;
-  auto timings = tc::RunTcSplit(world_, next_cm_id_++, op, topts, op_timeout_);
-  if (!timings.ok()) return timings.status();
-  if (!world_.WaitForLeader(left, op_timeout_) ||
-      !world_.WaitForLeader(right, op_timeout_)) {
-    return Timeout("TC split groups did not elect leaders");
-  }
-  RebalanceResult out;
-  out.shards = {DescribeGroup(world_, left), DescribeGroup(world_, right)};
-  return out;
-}
-
-Result<RebalanceResult> TcRebalancer::Merge(const ShardInfo& left,
-                                            const ShardInfo& right) {
-  tc::MergeOp op;
-  op.clusters = {left.members, right.members};
-  op.ranges = {left.range, right.range};
-  tc::TcOptions topts;
-  topts.op_salt = next_salt_++;
-  auto timings = tc::RunTcMerge(world_, next_cm_id_++, op, topts, op_timeout_);
-  if (!timings.ok()) return timings.status();
-
-  // The CM script rejoined the absorbed nodes into the survivor; shrink
-  // back to the survivor's original staffing (again AR-RPC style) so the
-  // freed nodes can staff future splits, mirroring the native path.
-  std::vector<NodeId> survivors = left.members;
-  std::vector<NodeId> current = survivors;
-  current.insert(current.end(), right.members.begin(), right.members.end());
-  std::sort(current.begin(), current.end());
-  for (NodeId n : right.members) {
-    current.erase(std::remove(current.begin(), current.end(), n),
-                  current.end());
-    Status s = ArRpcStep(world_, current, raft::MemberChangeKind::kRemoveServer,
-                         n, op_timeout_);
-    if (!s.ok()) return s;
-  }
-  if (!world_.WaitForLeader(survivors, op_timeout_)) {
-    return Timeout("TC merged shard did not elect a leader");
-  }
-  RebalanceResult out;
-  out.shards = {DescribeGroup(world_, survivors)};
   out.freed = right.members;
   return out;
 }

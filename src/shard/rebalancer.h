@@ -1,7 +1,9 @@
-// One interface over the paper's two reconfiguration mechanisms, so the
-// placement driver (and the shardplane bench) can run an identical policy
-// over the native ReCraft path and the TiKV/CockroachDB-style external
-// cluster-manager baseline — the comparison the paper makes for a single
+// The seam between the placement driver and the mechanism that carries out
+// a split or merge. NativeRebalancer, the ReCraft path, is the only
+// implementation in the library. The interface stays virtual so the
+// shardplane bench can run the same placement policy over the
+// TiKV/CockroachDB-style external cluster-manager baseline, which
+// implements it in bench/tc: the comparison the paper makes for a single
 // operation, here runnable continuously over many shards.
 #pragma once
 
@@ -23,7 +25,6 @@ struct RebalanceResult {
 class Rebalancer {
  public:
   virtual ~Rebalancer() = default;
-  virtual const char* name() const = 0;
 
   /// Split `shard` in two at `split_key` (strictly inside its range).
   /// `extra_nodes` are caught-up spares the operation may consume to staff
@@ -46,7 +47,6 @@ class NativeRebalancer : public Rebalancer {
                             Duration op_timeout = 60 * kSecond)
       : world_(world), op_timeout_(op_timeout) {}
 
-  const char* name() const override { return "native"; }
   Result<RebalanceResult> Split(const ShardInfo& shard,
                                 const std::string& split_key,
                                 const std::vector<NodeId>& extra_nodes) override;
@@ -58,30 +58,12 @@ class NativeRebalancer : public Rebalancer {
   Duration op_timeout_;
 };
 
-/// TC baseline: the same operations scripted by an external cluster manager
-/// (membership changes + snapshot migration + node restarts), one fresh CM
-/// actor per operation. After a TC merge the rejoined nodes are removed
-/// again AR-RPC-style so both paths keep shards at their staffed size and
-/// return the same freed set.
-class TcRebalancer : public Rebalancer {
- public:
-  explicit TcRebalancer(harness::World& world,
-                        Duration op_timeout = 120 * kSecond,
-                        NodeId first_cm_id = 500000)
-      : world_(world), op_timeout_(op_timeout), next_cm_id_(first_cm_id) {}
+/// Read back a group's authoritative state into a shard entry (id left for
+/// the map to assign).
+ShardInfo DescribeGroup(harness::World& w, const std::vector<NodeId>& members);
 
-  const char* name() const override { return "tc"; }
-  Result<RebalanceResult> Split(const ShardInfo& shard,
-                                const std::string& split_key,
-                                const std::vector<NodeId>& extra_nodes) override;
-  Result<RebalanceResult> Merge(const ShardInfo& left,
-                                const ShardInfo& right) override;
-
- private:
-  harness::World& world_;
-  Duration op_timeout_;
-  NodeId next_cm_id_;
-  uint64_t next_salt_ = 1;
-};
+/// Halve a sorted member list into two groups for a split.
+void HalveMembers(const std::vector<NodeId>& members,
+                  std::vector<NodeId>* left, std::vector<NodeId>* right);
 
 }  // namespace recraft::shard

@@ -1,7 +1,8 @@
 // The multi-shard data plane: ShardMap invariants (coverage / overlap /
 // version monotonicity, atomic deltas), wrong-shard retry in the routing
-// client, the placement driver over both Rebalancer implementations, and a
-// chaos test that rebalances while a client fleet runs.
+// client, the placement driver over the native rebalancer, and a chaos
+// test that rebalances while a client fleet runs. The same placement policy
+// over the TC baseline's rebalancer is tested in tc_test.
 #include "shard/placement.h"
 #include "tests/test_util.h"
 
@@ -236,30 +237,6 @@ TEST(ShardPlane, NativeSplitAndMergeUpdateMap) {
   EXPECT_TRUE(some_shard_has_keys);
   EXPECT_TRUE(all_have_bytes_gauge);
   EXPECT_GT(snap.histograms.at("placement.shard_keys").count, 0u);
-}
-
-TEST(ShardPlane, TcRebalancerRunsSamePolicy) {
-  World w(TestWorldOptions(24));
-  auto ids = w.BootstrapShards(2, 3, {"k00001000"});
-  ASSERT_TRUE(ids.ok());
-  auto shards = w.shard_map().Shards();
-  ASSERT_TRUE(w.Preload(shards[0].members, 40, 32).ok());
-
-  shard::TcRebalancer rb(w, 120 * kSecond);
-  shard::PlacementDriver driver(w, w.shard_map(), rb);
-
-  ASSERT_TRUE(driver.SplitShard(shards[0].id).ok()) << w.shard_map().ToString();
-  EXPECT_EQ(w.shard_map().size(), 3u);
-  EXPECT_TRUE(w.shard_map().CheckInvariants().ok());
-
-  auto after = w.shard_map().Shards();
-  ASSERT_TRUE(driver.MergeShards(after[0].id, after[1].id).ok());
-  EXPECT_EQ(w.shard_map().size(), 2u);
-  EXPECT_TRUE(w.shard_map().CheckInvariants().ok());
-  EXPECT_EQ(driver.spare_count(), 3u);
-
-  auto final_shards = w.shard_map().Shards();
-  ASSERT_TRUE(w.Put(final_shards.front().members, "k00000001", "low").ok());
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 // TC baseline (TiKV/CockroachDB emulation, §VII-B/C): correctness of the
 // CM-driven split and merge, timing breakdown sanity, CM as a single point
-// of failure, and the replicated-CM standby takeover.
-#include "tc/cluster_manager.h"
+// of failure, the replicated-CM standby takeover, and the placement driver
+// running its policy over the TC rebalancer.
+#include "bench/tc/cluster_manager.h"
+#include "shard/placement.h"
 #include "tests/test_util.h"
 
 namespace recraft::test {
@@ -153,6 +155,39 @@ TEST(TcSplit, StandbyCmTakesOver) {
   EXPECT_EQ(*f.w.Get(g2, "m1"), "vm1");
 }
 
+TEST(TcSplit, StandbyAfterRestartKeepsBootstrappedGroup) {
+  // The standby re-executes the whole op, BootstrapReqs included. Nodes the
+  // primary already bootstrapped must see the same genesis identity and
+  // only ack: a second Reinit would wipe a group that is already serving.
+  TcFixture f(6);
+  ClusterManager primary(f.w, kCmId);
+  ClusterManager standby(f.w, kCmStandbyId);
+  standby.MonitorAsStandby(kCmId);
+  standby.StartSplit(f.TwoWaySplit());
+  primary.StartSplit(f.TwoWaySplit());
+  ASSERT_TRUE(f.w.RunUntil(
+      [&]() { return primary.phase() == CmPhase::kRestarting; },
+      10 * kSecond));
+  f.w.RunFor(50 * kMillisecond);
+  ASSERT_EQ(primary.phase(), CmPhase::kRestarting);
+  std::vector<NodeId> g2{f.cluster[3], f.cluster[4], f.cluster[5]};
+  std::map<NodeId, ClusterUid> bootstrapped_uid;
+  for (NodeId id : g2) {
+    ASSERT_EQ(f.w.node(id).counters().Get("node.reinit"), 1u) << "node " << id;
+    bootstrapped_uid[id] = f.w.node(id).cluster_uid();
+  }
+  ASSERT_TRUE(f.w.Crash(kCmId).ok());
+  ASSERT_TRUE(f.w.RunUntil([&]() { return standby.done(); }, 60 * kSecond))
+      << "standby stuck in " << tc::CmPhaseName(standby.phase());
+  for (NodeId id : g2) {
+    EXPECT_EQ(f.w.node(id).counters().Get("node.reinit"), 1u) << "node " << id;
+    EXPECT_EQ(f.w.node(id).cluster_uid(), bootstrapped_uid[id])
+        << "node " << id;
+  }
+  ASSERT_TRUE(f.w.WaitForLeader(g2));
+  EXPECT_EQ(*f.w.Get(g2, "m1"), "vm1");
+}
+
 TEST(TcSplit, TimingBreakdownIsPopulated) {
   TcFixture f(7);
   ASSERT_TRUE(f.w.Preload(f.cluster, 500, 512).ok());
@@ -160,8 +195,32 @@ TEST(TcSplit, TimingBreakdownIsPopulated) {
   ASSERT_TRUE(t.ok());
   EXPECT_GT(t->remove, 0u);
   EXPECT_GT(t->snapshot, 0u);
-  EXPECT_GE(t->restart, 200 * kMillisecond);  // the configured restart delay
+  EXPECT_GE(t->restart, 200 * kMillisecond);  // the emulated restart delay
   EXPECT_GT(t->total, t->remove);
+}
+
+TEST(ShardPlane, TcRebalancerRunsSamePolicy) {
+  World w(TestWorldOptions(24));
+  auto ids = w.BootstrapShards(2, 3, {"k00001000"});
+  ASSERT_TRUE(ids.ok());
+  auto shards = w.shard_map().Shards();
+  ASSERT_TRUE(w.Preload(shards[0].members, 40, 32).ok());
+
+  tc::TcRebalancer rb(w, 120 * kSecond);
+  shard::PlacementDriver driver(w, w.shard_map(), rb);
+
+  ASSERT_TRUE(driver.SplitShard(shards[0].id).ok()) << w.shard_map().ToString();
+  EXPECT_EQ(w.shard_map().size(), 3u);
+  EXPECT_TRUE(w.shard_map().CheckInvariants().ok());
+
+  auto after = w.shard_map().Shards();
+  ASSERT_TRUE(driver.MergeShards(after[0].id, after[1].id).ok());
+  EXPECT_EQ(w.shard_map().size(), 2u);
+  EXPECT_TRUE(w.shard_map().CheckInvariants().ok());
+  EXPECT_EQ(driver.spare_count(), 3u);
+
+  auto final_shards = w.shard_map().Shards();
+  ASSERT_TRUE(w.Put(final_shards.front().members, "k00000001", "low").ok());
 }
 
 }  // namespace

@@ -1,4 +1,6 @@
-// recraft-layering — keeps the deployable core below the test scaffolding.
+// recraft-layering — keeps the deployable core below the test scaffolding,
+// and the system tree below the benches.
+//
 // The real-process deployment mode links core::Node, the raft protocol, the
 // state machines, the storage/net layers and the client session into
 // recraftd and recraft-cli with no simulator in the binary; that only stays
@@ -7,9 +9,15 @@
 // core (SimTransport, SimClock, SimDisk are adapters *over* core seams),
 // never the reverse.
 //
-// src/shard is deliberately out of scope: the placement/rebalancer plane is
-// orchestration that drives harness worlds, sitting beside the harness, not
-// below it. (Its ShardMap includes only src/common; src/client caches it.)
+// src/shard is out of scope for that rule: the placement/rebalancer plane
+// is orchestration that drives harness worlds, sitting beside the harness,
+// not below it. (Its ShardMap includes only src/common; src/client caches
+// it.)
+//
+// No file anywhere in src/ may include a bench/ header. The paper's
+// baselines (bench/tc: the external cluster manager and its rebalancer)
+// are built on the system, not part of it: the recraft library must link
+// without them.
 #include <array>
 #include <string>
 #include <vector>
@@ -28,34 +36,53 @@ const std::vector<std::string> kLayeredDirs = {
 // Include-path prefixes that may never appear below the line.
 constexpr std::array kForbiddenPrefixes = {"sim/", "harness/"};
 
+// The system tree, which may not include bench/ headers. A checkout that
+// itself sits under some src/ directory also matches "src", hence the
+// exclusion of the repo's other top-level directories.
+const std::vector<std::string> kSystemDirs = {"src"};
+const std::vector<std::string> kOutsideSystemDirs = {"bench", "tests",
+                                                     "tools", "examples"};
+constexpr const char* kBenchPrefix = "bench/";
+
 class LayeringCheck : public Check {
  public:
   std::string name() const override { return "recraft-layering"; }
   std::string description() const override {
-    return "sim/ or harness/ include below the deployable core: the "
-           "simulator wraps the core's seams, never the reverse";
+    return "sim/ or harness/ include below the deployable core, or a "
+           "bench/ include anywhere in src/: the simulator wraps the "
+           "core's seams and the benches build on the system, never the "
+           "reverse";
   }
 
   void Run(const SourceFile& f, std::vector<Diagnostic>* out) override {
-    if (!f.UnderAny(kLayeredDirs)) return;
+    bool layered = f.UnderAny(kLayeredDirs);
+    bool system = f.UnderAny(kSystemDirs) && !f.UnderAny(kOutsideSystemDirs);
+    if (!layered && !system) return;
     const std::vector<std::string>& lines = f.lines();
     for (size_t ln = 0; ln < lines.size(); ++ln) {
       std::string inc = IncludedPath(lines[ln]);
       if (inc.empty()) continue;
-      for (const char* prefix : kForbiddenPrefixes) {
-        if (inc.rfind(prefix, 0) != 0) continue;
-        Diagnostic d;
-        d.file = f.path();
-        d.line = static_cast<int>(ln + 1);
-        d.col = static_cast<int>(lines[ln].find('#') + 1);
-        d.check = name();
-        d.message = "'" + inc + "' included from the deployable core; " +
-                    std::string(prefix) +
-                    " must depend on this layer, not the reverse — move "
-                    "the shared seam into src/net or src/common";
-        out->push_back(std::move(d));
-        break;
+      std::string message;
+      if (system && inc.rfind(kBenchPrefix, 0) == 0) {
+        message = "'" + inc + "' included from src/; the benches build on "
+                  "the system, not the reverse — move what src/ needs into "
+                  "src/, or the caller into bench/";
       }
+      for (const char* prefix : kForbiddenPrefixes) {
+        if (!layered || inc.rfind(prefix, 0) != 0) continue;
+        message = "'" + inc + "' included from the deployable core; " +
+                  std::string(prefix) +
+                  " must depend on this layer, not the reverse — move "
+                  "the shared seam into src/net or src/common";
+      }
+      if (message.empty()) continue;
+      Diagnostic d;
+      d.file = f.path();
+      d.line = static_cast<int>(ln + 1);
+      d.col = static_cast<int>(lines[ln].find('#') + 1);
+      d.check = name();
+      d.message = std::move(message);
+      out->push_back(std::move(d));
     }
   }
 
