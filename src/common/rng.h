@@ -54,9 +54,6 @@ class Rng {
   /// Bernoulli trial.
   bool Chance(double p) { return NextDouble() < p; }
 
-  /// Fork a new independent generator (for a sub-component).
-  Rng Fork() { return Rng(Next()); }
-
  private:
   static uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
   uint64_t s_[4];

@@ -105,7 +105,7 @@ Status Node::StartMerge(const raft::AdminMerge& req, uint64_t req_id,
   merge_ = MergeRuntime{};
   merge_.phase = MergePhase::kPreparing;
   merge_.plan = plan;
-  merge_.retry_countdown = opts_.merge_retry_ticks;
+  merge_.retry_countdown = kMergeRetryTicks;
   merge_.admin_req_id = req_id;
   merge_.admin_client = client;
   merge_.contact = DefaultContacts(plan);
@@ -161,7 +161,7 @@ void Node::SendCommits() {
 void Node::MergeTick() {
   if (merge_.phase == MergePhase::kIdle) return;
   if (--merge_.retry_countdown > 0) return;
-  merge_.retry_countdown = opts_.merge_retry_ticks;
+  merge_.retry_countdown = kMergeRetryTicks;
   // Rotate contacts for sources that have not answered, then retransmit
   // (handlers are idempotent by transaction id).
   for (auto& [sj, contact] : merge_.contact) {
@@ -391,7 +391,7 @@ void Node::MaybeFinishPrepare() {
 void Node::ProposeMergeOutcome(bool commit) {
   merge_.phase = MergePhase::kCommitting;
   merge_.outcome_is_commit = commit;
-  merge_.retry_countdown = opts_.merge_retry_ticks;
+  merge_.retry_countdown = kMergeRetryTicks;
   // Keep local copies: on a single-node coordinator cluster Propose commits
   // and applies the outcome synchronously, and OnMergeOutcomeApplied may
   // reset merge_ (abort path) before we fan the decision out.
@@ -492,7 +492,7 @@ void Node::OnMergeOutcomeApplied(const raft::ConfMergeOutcome& oc,
           // rebuilt the runtime (outcome committed during our election).
           merge_ = MergeRuntime{};
           merge_.plan = plan;
-          merge_.retry_countdown = opts_.merge_retry_ticks;
+          merge_.retry_countdown = kMergeRetryTicks;
           merge_.contact = DefaultContacts(plan);
         }
         if (merge_.admin_client != kNoNode) {
@@ -579,7 +579,7 @@ void Node::OnMergeOutcomeApplied(const raft::ConfMergeOutcome& oc,
         merge_.phase = MergePhase::kCommitting;
         merge_.plan = plan;
         merge_.outcome_is_commit = true;
-        merge_.retry_countdown = opts_.merge_retry_ticks;
+        merge_.retry_countdown = kMergeRetryTicks;
         merge_.contact = DefaultContacts(plan);
         SendCommits();
       }
@@ -687,7 +687,7 @@ void Node::ResumeUnsettledAbort() {
     merge_.plan = plan;
     merge_.outcome_is_commit = false;
     merge_.outcome_applied_self = true;  // the abort applied before clearing
-    merge_.retry_countdown = opts_.merge_retry_ticks;
+    merge_.retry_countdown = kMergeRetryTicks;
     merge_.contact = DefaultContacts(plan);
     counters_.Add(cid_.merge_abort_resumed);
     SendCommits();
@@ -707,7 +707,7 @@ void Node::ResumeMergeAsLeader() {
   if (my_source != cfg.merge_tx->coordinator) return;  // participants react
 
   merge_ = MergeRuntime{};
-  merge_.retry_countdown = opts_.merge_retry_ticks;
+  merge_.retry_countdown = kMergeRetryTicks;
   if (cfg.merge_outcome_index > 0 && cfg.merge_outcome_plan) {
     merge_.phase = MergePhase::kCommitting;
     merge_.plan = *cfg.merge_outcome_plan;
@@ -747,7 +747,7 @@ void Node::TransitionToMerged(const raft::MergePlan& plan) {
   ExchangeGc& gc = exchange_gc_[plan.tx];
   gc.resumed = plan.ResumeMembers();
   gc.targets = plan.AllMembers();
-  if (gc.retry_countdown <= 0) gc.retry_countdown = opts_.merge_retry_ticks;
+  if (gc.retry_countdown <= 0) gc.retry_countdown = kMergeRetryTicks;
 
   // The merged cluster starts fresh: the log begins with the C_new entry,
   // committed at term 0 of E_new (§III-C.2 "Resumption").
@@ -798,7 +798,7 @@ void Node::StartExchange(const raft::MergePlan& plan) {
   Exchange ex;
   ex.plan = plan;
   ex.my_source = plan.SourceOf(id_);
-  ex.retry_countdown = opts_.merge_retry_ticks;
+  ex.retry_countdown = kMergeRetryTicks;
   for (size_t j = 0; j < plan.sources.size(); ++j) {
     int sj = static_cast<int>(j);
     auto it = exchange_store_.find({plan.tx, sj});
@@ -837,7 +837,7 @@ void Node::StartExchange(const raft::MergePlan& plan) {
 void Node::ExchangeTick() {
   if (!exchange_.has_value()) return;
   if (--exchange_->retry_countdown > 0) return;
-  exchange_->retry_countdown = opts_.merge_retry_ticks;
+  exchange_->retry_countdown = kMergeRetryTicks;
   for (auto& [sj, contact] : exchange_->contact) {
     (void)contact;
     if (exchange_->have.count(sj) > 0) continue;
@@ -921,7 +921,7 @@ void Node::MaybeFinishExchange() {
     ExchangeGc& gc = exchange_gc_[plan.tx];  // armed in TransitionToMerged
     gc.self_done = true;
     gc.done.insert(id_);
-    gc.retry_countdown = opts_.merge_retry_ticks;
+    gc.retry_countdown = kMergeRetryTicks;
     raft::ExchangeDone ann;
     ann.from = id_;
     ann.tx = plan.tx;
@@ -991,7 +991,7 @@ void Node::ExchangeGcTick() {
   for (auto& [tx, gc] : exchange_gc_) {
     if (!gc.self_done) continue;  // only completed members gossip
     if (--gc.retry_countdown > 0) continue;
-    gc.retry_countdown = opts_.merge_retry_ticks;
+    gc.retry_countdown = kMergeRetryTicks;
     raft::ExchangeDone ann;
     ann.from = id_;
     ann.tx = tx;

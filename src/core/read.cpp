@@ -30,6 +30,11 @@
 
 namespace recraft::core {
 
+namespace {
+/// Ticks between retransmissions of an unanswered ReadIndex probe round.
+constexpr int kReadProbeRetryTicks = 3;
+}  // namespace
+
 void Node::HandleReadRequest(NodeId from, uint64_t req_id,
                              const raft::ReadRequest& m) {
   if (role_ != Role::kLeader) {
@@ -110,7 +115,7 @@ void Node::MaybeLaunchReadProbe() {
     ServeConfirmedReads();  // bounded: rounds only confirm forward
     return;
   }
-  read_retry_countdown_ = opts_.read_probe_retry_ticks;
+  read_retry_countdown_ = kReadProbeRetryTicks;
   if (opts_.recorder != nullptr) {
     read_spans_.emplace_back(
         read_seq_, opts_.recorder->BeginSpan(id_, obs::Name::kReadRound,
@@ -123,7 +128,7 @@ void Node::ReadTick() {
   // Resending the latest round suffices: its ack covers every older round.
   if (read_confirmed_ >= read_seq_) return;
   if (--read_retry_countdown_ > 0) return;
-  read_retry_countdown_ = opts_.read_probe_retry_ticks;
+  read_retry_countdown_ = kReadProbeRetryTicks;
   counters_.Add(cid_.read_probe_retry);
   BroadcastReadProbe();
 }

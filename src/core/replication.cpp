@@ -23,6 +23,10 @@
 
 namespace recraft::core {
 
+namespace {
+constexpr size_t kMaxEntriesPerAppend = 128;
+}  // namespace
+
 std::vector<NodeId> Node::ReplicationTargets() const {
   const auto& cfg = config_.Current();
   std::set<NodeId> t(cfg.members.begin(), cfg.members.end());
@@ -116,7 +120,7 @@ void Node::MaybeSendAppend(NodeId peer, bool force_empty) {
   // batch to every peer costs segment descriptors, not entry deep-copies.
   raft::EntrySpan entries;
   if (p.next <= cap) {
-    Index hi = std::min(cap, p.next + opts_.max_entries_per_append - 1);
+    Index hi = std::min(cap, p.next + kMaxEntriesPerAppend - 1);
     entries = log_.Slice(p.next, hi);
   }
   if (entries.empty() && !force_empty) return;

@@ -30,10 +30,12 @@ ZipfConstants ZipfConstants::For(uint64_t key_space, double theta) {
 
 ClosedLoopClient::ClosedLoopClient(World& world, Router& router, NodeId id,
                                    ClientOptions opts,
-                                   const ZipfConstants& zipf)
+                                   const ZipfConstants& zipf,
+                                   ThroughputSeries* throughput)
     : world_(world),
       id_(id),
       opts_(opts),
+      throughput_(throughput),
       rng_(Mix64(0xc11e47, id)),
       zipf_(zipf),
       session_(id, world.transport(), world.clock(), router,
@@ -112,7 +114,7 @@ void ClosedLoopClient::OnDone(const client::Session::Op& op) {
   Duration lat = world_.now() - op.issued_at;
   latency_.Record(lat);
   if (opts_.latency != nullptr) opts_.latency->Record(lat);
-  if (opts_.throughput != nullptr) opts_.throughput->Record(world_.now());
+  throughput_->Record(world_.now());
   if (opts_.on_op_complete) opts_.on_op_complete(op.cmd.key, world_.now());
   if (session_.open() == 0) IssueNext();
 }
@@ -121,12 +123,12 @@ void ClosedLoopClient::OnDone(const client::Session::Op& op) {
 
 ClientFleet::ClientFleet(World& world, Router& router, size_t n,
                          ClientOptions opts) {
-  opts.throughput = &throughput_;
   const ZipfConstants zipf =
       ZipfConstants::For(opts.key_space, opts.zipf_theta);
   for (size_t i = 0; i < n; ++i) {
     clients_.push_back(std::make_unique<ClosedLoopClient>(
-        world, router, static_cast<NodeId>(kFirstClientId + i), opts, zipf));
+        world, router, static_cast<NodeId>(kFirstClientId + i), opts, zipf,
+        &throughput_));
   }
 }
 

@@ -1,8 +1,10 @@
 // The simulator's workload clients. A ClosedLoopClient is the workload
 // half of a client: key and op draws, rounds, and the latency/throughput
-// sinks. Routing, retries and reply matching are client::Session's job
-// (src/client/), which it drives over World::transport()/World::clock() —
-// the same session recraft-cli runs over UDP.
+// sinks. Clients are built by a ClientFleet, which owns the throughput
+// series they all record into. Routing, retries and reply matching are
+// client::Session's job (src/client/), which it drives over
+// World::transport()/World::clock() — the same session recraft-cli runs
+// over UDP.
 //
 // Each client keeps a bounded round of outstanding requests (one per round
 // by default, as in the paper's etcd benchmark clients); rounds with
@@ -26,6 +28,9 @@ namespace recraft::harness {
 /// The overlay's view of the sharded key space (see client/router.h).
 using Router = client::Router;
 
+/// One workload shape, copied into every client of a fleet. The optional
+/// sinks (latency, on_op_complete, recorder) are shared by the whole fleet;
+/// the fleet's own ThroughputSeries always records every completion.
 struct ClientOptions {
   uint64_t key_space = 100000;
   size_t value_bytes = 512;       // the paper uses 512 B requests
@@ -50,9 +55,6 @@ struct ClientOptions {
   bool reads_via_log = false;
   /// Requests issued per round, grouped per shard. 1 = classic closed loop.
   size_t batch_size = 1;
-  /// Record a completion into this series (shared across clients for the
-  /// throughput-over-time figures). May be null.
-  ThroughputSeries* throughput = nullptr;
   LatencyRecorder* latency = nullptr;  // may be null; per-client otherwise
   /// Invoked on every completed op, e.g. to bucket throughput per
   /// subcluster by key (Figs. 7a/8a) or feed the placement driver's load
@@ -81,8 +83,10 @@ struct ZipfConstants {
 class ClosedLoopClient {
  public:
   /// `zipf` must be ZipfConstants::For(opts.key_space, opts.zipf_theta).
+  /// Every completion is recorded into `throughput`, which must outlive
+  /// the client.
   ClosedLoopClient(World& world, Router& router, NodeId id, ClientOptions opts,
-                   const ZipfConstants& zipf);
+                   const ZipfConstants& zipf, ThroughputSeries* throughput);
 
   void Start() {
     running_ = true;
@@ -108,6 +112,7 @@ class ClosedLoopClient {
   World& world_;
   const NodeId id_;
   ClientOptions opts_;
+  ThroughputSeries* const throughput_;
   Rng rng_;
   bool running_ = false;
 

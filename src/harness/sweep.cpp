@@ -13,6 +13,15 @@
 
 namespace recraft::harness {
 
+namespace {
+constexpr size_t kClusterSize = 5;
+constexpr size_t kSpares = 2;  // churn-storm fodder
+constexpr size_t kClients = 4;
+constexpr Duration kSettleTimeout = 60 * kSecond;
+constexpr uint64_t kKeySpace = 512;
+constexpr size_t kValueBytes = 16;
+}  // namespace
+
 std::string WorldVerdict::ReproLine() const {
   char buf[192];
   std::snprintf(buf, sizeof(buf),
@@ -52,9 +61,9 @@ WorldVerdict RunSweepWorld(const SweepOptions& opts, uint64_t seed) {
     v.sim_end = world.now();
   };
 
-  auto members = world.CreateCluster(opts.cluster_size);
+  auto members = world.CreateCluster(kClusterSize);
   std::vector<NodeId> spares;
-  for (size_t i = 0; i < opts.spares; ++i) {
+  for (size_t i = 0; i < kSpares; ++i) {
     spares.push_back(world.CreateSpareNode());
   }
   if (!world.WaitForLeader(members, 10 * kSecond)) {
@@ -70,8 +79,8 @@ WorldVerdict RunSweepWorld(const SweepOptions& opts, uint64_t seed) {
   router.SetClusters({Router::Entry{members, KeyRange::Full()}});
 
   ClientOptions copts;
-  copts.key_space = opts.key_space;
-  copts.value_bytes = opts.value_bytes;
+  copts.key_space = kKeySpace;
+  copts.value_bytes = kValueBytes;
   copts.retry_timeout = 300 * kMillisecond;
   copts.get_fraction = 0.1;
   copts.scan_fraction = 0.05;
@@ -79,7 +88,7 @@ WorldVerdict RunSweepWorld(const SweepOptions& opts, uint64_t seed) {
   copts.zipf_theta = 0.9;  // skewed, so hot-key migration matters
   copts.key_offset = mix->hot_key_offset();
   copts.recorder = opts.recorder;
-  ClientFleet fleet(world, router, opts.clients, copts);
+  ClientFleet fleet(world, router, kClients, copts);
   fleet.Start();
 
   NemesisTargets targets;
@@ -116,7 +125,7 @@ WorldVerdict RunSweepWorld(const SweepOptions& opts, uint64_t seed) {
         }
         return true;
       },
-      opts.settle_timeout);
+      kSettleTimeout);
   v.converged = settled;
   if (!settled) v.violations.push_back("did not converge after heal");
 

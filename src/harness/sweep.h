@@ -5,6 +5,11 @@
 // failing verdict carries a single-line repro that replays the exact run in
 // one process — the sweep runner's whole reason to exist.
 //
+// The world's shape is fixed: one 5-node cluster over the full key space,
+// two spare nodes for the churn nemeses, four closed-loop clients writing
+// 16 B values over 512 keys, and a 60 s convergence window after the heal.
+// Only the nemesis mix and the chaos window vary.
+//
 // RunSweep fans worlds out across a thread pool, one world per thread at a
 // time, with zero shared mutable state between worlds (each owns its event
 // queue, RNGs, network and disks); verdicts land in per-seed slots, so the
@@ -24,14 +29,8 @@ namespace recraft::harness {
 struct SweepOptions {
   /// Nemesis scenario preset; see NemesisMix::KnownMixes().
   std::string mix = "all";
-  size_t cluster_size = 5;
-  size_t spares = 2;         // churn-storm fodder
-  size_t clients = 4;
   /// Chaos window length, in node tick intervals (default tick = 10 ms).
   uint64_t chaos_ticks = 200;
-  Duration settle_timeout = 60 * kSecond;
-  uint64_t key_space = 512;
-  size_t value_bytes = 16;
   /// Corrupt the *checked history* (never the system) with one phantom
   /// write, so every world fails its store/history comparison: proves the
   /// catch -> repro-line -> deterministic-replay pipeline end to end.

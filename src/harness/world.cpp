@@ -37,27 +37,26 @@ World::World(WorldOptions opts)
   if (!opts_.node.machine_factory) {
     opts_.node.machine_factory = kv::KvMachineFactory();
   }
+  opts_.node.naming_service = kNamingServiceId;
   if (opts_.recorder != nullptr) {
     opts_.recorder->BindClock(events_.now_ptr());
     net_.set_recorder(opts_.recorder);
     opts_.node.recorder = opts_.recorder;
   }
-  if (opts_.with_naming_service) {
-    transport_.Bind(kNamingServiceId,
-                    [this](NodeId from, const raft::Message& m,
-                           obs::TraceCtx ctx) {
-                      if (const auto* reg =
-                              std::get_if<raft::NamingRegister>(&m)) {
-                        naming_.HandleRegister(*reg);
-                      } else if (std::get_if<raft::NamingLookupReq>(&m) !=
-                                 nullptr) {
-                        auto reply = raft::MakeMessage(
-                            raft::Message(naming_.Directory()));
-                        reply.set_trace_ctx(ctx);
-                        transport_.Send(kNamingServiceId, from, reply);
-                      }
-                    });
-  }
+  transport_.Bind(kNamingServiceId,
+                  [this](NodeId from, const raft::Message& m,
+                         obs::TraceCtx ctx) {
+                    if (const auto* reg =
+                            std::get_if<raft::NamingRegister>(&m)) {
+                      naming_.HandleRegister(*reg);
+                    } else if (std::get_if<raft::NamingLookupReq>(&m) !=
+                               nullptr) {
+                      auto reply = raft::MakeMessage(
+                          raft::Message(naming_.Directory()));
+                      reply.set_trace_ctx(ctx);
+                      transport_.Send(kNamingServiceId, from, reply);
+                    }
+                  });
   transport_.Bind(kAdminId, [this](NodeId, const raft::Message& m,
                                    obs::TraceCtx) {
     if (const auto* reply = std::get_if<raft::ClientReply>(&m)) {
@@ -76,7 +75,7 @@ World::~World() = default;
 
 storage::Storage* World::MakeStorage(NodeId id) {
   auto& disk = disks_[id];
-  if (disk == nullptr) disk = std::make_shared<storage::SimDisk>(opts_.disk);
+  if (disk == nullptr) disk = std::make_shared<storage::SimDisk>();
   auto wal = std::make_unique<storage::WalStorage>(disk, &clock_, opts_.wal);
   if (opts_.recorder != nullptr) wal->SetRecorder(opts_.recorder, id);
   storage::Storage* raw = wal.get();
@@ -104,13 +103,11 @@ std::vector<NodeId> World::CreateCluster(size_t n, KeyRange range) {
   genesis.uid = Mix64(opts_.seed, members.front());
 
   for (NodeId id : members) {
-    core::Options node_opts = opts_.node;
-    if (opts_.with_naming_service) node_opts.naming_service = kNamingServiceId;
     auto send = [this, id](NodeId to, raft::MessagePtr msg) {
       transport_.Send(id, to, msg);
     };
     nodes_[id] = std::make_unique<core::Node>(
-        id, node_opts, genesis, Rng(Mix64(opts_.seed, 0xabc0 + id)),
+        id, opts_.node, genesis, Rng(Mix64(opts_.seed, 0xabc0 + id)),
         std::move(send), MakeStorage(id));
     RegisterNodeHandler(id);
     ScheduleTick(id);
@@ -127,13 +124,11 @@ NodeId World::CreateSpareNode() {
   genesis.members = {};       // retired until added
   genesis.range = KeyRange::Empty();
   genesis.uid = 0;
-  core::Options node_opts = opts_.node;
-  if (opts_.with_naming_service) node_opts.naming_service = kNamingServiceId;
   auto send = [this, id](NodeId to, raft::MessagePtr msg) {
     transport_.Send(id, to, msg);
   };
   nodes_[id] = std::make_unique<core::Node>(
-      id, node_opts, genesis, Rng(Mix64(opts_.seed, 0xabc0 + id)),
+      id, opts_.node, genesis, Rng(Mix64(opts_.seed, 0xabc0 + id)),
       std::move(send), MakeStorage(id));
   RegisterNodeHandler(id);
   ScheduleTick(id);
@@ -141,7 +136,7 @@ NodeId World::CreateSpareNode() {
 }
 
 Result<std::vector<shard::ShardId>> World::BootstrapShards(
-    size_t n_shards, size_t nodes_per_shard,
+    size_t n_shards, size_t group_size,
     const std::vector<std::string>& boundaries, Duration timeout) {
   if (n_shards == 0) return Rejected("need at least one shard");
   if (boundaries.size() + 1 != n_shards) {
@@ -157,7 +152,7 @@ Result<std::vector<shard::ShardId>> World::BootstrapShards(
   }
   std::vector<shard::ShardInfo> infos;
   for (const KeyRange& range : ranges) {
-    auto members = CreateCluster(nodes_per_shard, range);
+    auto members = CreateCluster(group_size, range);
     if (!WaitForLeader(members, timeout)) {
       return Timeout("no leader for shard over " + range.ToString());
     }
@@ -282,8 +277,6 @@ Status World::Restart(NodeId id) {
   }
   if (HasNode(id)) return Rejected("node " + std::to_string(id) + " is up");
   net_.Restart(id);
-  core::Options node_opts = opts_.node;
-  if (opts_.with_naming_service) node_opts.naming_service = kNamingServiceId;
   auto send = [this, id](NodeId to, raft::MessagePtr msg) {
     transport_.Send(id, to, msg);
   };
@@ -291,7 +284,7 @@ Status World::Restart(NodeId id) {
   // the same election jitter, different incarnations must not correlate.
   uint64_t gen = ++node_gen_[id];
   nodes_[id] = std::make_unique<core::Node>(
-      id, node_opts, MakeStorage(id),
+      id, opts_.node, MakeStorage(id),
       Rng(Mix64(opts_.seed, 0xb007'0000ull + id + (gen << 16))),
       std::move(send));
   RegisterNodeHandler(id);
@@ -440,22 +433,6 @@ Result<kv::Response> World::Scan(const std::vector<NodeId>& members,
   if (!reply.ok()) return reply.status();
   if (!reply->status.ok()) return reply->status;
   return kv::DecodeResponse(kv::OpType::kScan, reply->status, reply->value);
-}
-
-Result<kv::Response> World::Cas(const std::vector<NodeId>& members,
-                                const std::string& key,
-                                const std::string& expected,
-                                const std::string& desired, Duration timeout) {
-  kv::Command cmd;
-  cmd.op = kv::OpType::kCas;
-  cmd.key = key;
-  cmd.expected = expected;
-  cmd.value = desired;
-  auto reply = CallLeader(members, kv::EncodeCommand(cmd), timeout);
-  if (!reply.ok()) return reply.status();
-  // kConflict is a *valid* CAS outcome, not a transport failure: surface it
-  // as a Response so callers can read the actual current value.
-  return kv::DecodeResponse(kv::OpType::kCas, reply->status, reply->value);
 }
 
 Status World::Preload(const std::vector<NodeId>& members, size_t n,
@@ -628,8 +605,8 @@ void World::DumpDiagnostics(std::ostream& os) const {
     const auto& s = disk->stats();
     os << "  disk " << id << ": flushes=" << s.flushes
        << " flushed_bytes=" << s.flushed_bytes
-       << " appended_bytes=" << s.appended_bytes << " io_busy=" << s.io_busy
-       << "us crash_lost_bytes=" << s.crash_lost_bytes << "\n";
+       << " appended_bytes=" << s.appended_bytes
+       << " crash_lost_bytes=" << s.crash_lost_bytes << "\n";
   }
   os << "-- events --\n";
   os << "  executed=" << events_.events_executed()

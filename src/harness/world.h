@@ -38,16 +38,17 @@ enum class StorageMode {
   kWal,
 };
 
+/// What a World is built from. Every world hosts the §V naming service at
+/// kNamingServiceId and points every node at it (the World overwrites
+/// node.naming_service), and every node gets its own SimDisk.
 struct WorldOptions {
   uint64_t seed = 1;
   sim::NetworkOptions net;
   core::Options node;  // template for every node created; if
                        // node.machine_factory is unset the World installs
                        // kv::KvMachineFactory (the default workload)
-  bool with_naming_service = true;
   StorageMode storage = StorageMode::kWal;
   storage::WalStorage::Options wal;  // every node's WAL
-  storage::SimDisk::Options disk;    // every node's SimDisk
   /// Arm the flight recorder (obs/trace.h): the World binds it to the sim
   /// clock and hands it to the network, every node and every WAL instance.
   /// Null = disarmed. Arming must not change the execution digest.
@@ -87,11 +88,11 @@ class World {
   /// membership change).
   NodeId CreateSpareNode();
 
-  /// Create `n_shards` clusters of `nodes_per_shard` nodes tiling the full
+  /// Create `n_shards` clusters of `group_size` nodes tiling the full
   /// key space at `boundaries` (n_shards - 1 keys), wait for their leaders,
   /// and seed the hosted shard map. Returns the shard ids in range order.
   Result<std::vector<shard::ShardId>> BootstrapShards(
-      size_t n_shards, size_t nodes_per_shard,
+      size_t n_shards, size_t group_size,
       const std::vector<std::string>& boundaries,
       Duration timeout = 30 * kSecond);
 
@@ -209,12 +210,6 @@ class World {
   Result<kv::Response> Scan(const std::vector<NodeId>& members,
                             const std::string& lo, const std::string& hi,
                             uint32_t limit, Duration timeout = 5 * kSecond);
-  /// Compare-and-swap: expected "" requires the key to be absent. A
-  /// mismatch surfaces as kConflict with the current value in the result.
-  Result<kv::Response> Cas(const std::vector<NodeId>& members,
-                           const std::string& key, const std::string& expected,
-                           const std::string& desired,
-                           Duration timeout = 5 * kSecond);
 
   /// Preload a cluster with `n` sequential keys (for the split/merge
   /// latency benches) sized `value_bytes` each.

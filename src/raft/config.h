@@ -184,9 +184,6 @@ struct ConfigState {
   bool IsMember(NodeId n) const {
     return std::find(members.begin(), members.end(), n) != members.end();
   }
-  size_t CommitQuorumSize() const {
-    return fixed_quorum > 0 ? fixed_quorum : MajorityOf(members.size());
-  }
   /// True while any reconfiguration is unresolved (pending split phase,
   /// vanilla joint mode, or an open merge transaction). Part of P1.
   bool ReconfigPending() const {

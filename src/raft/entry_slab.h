@@ -220,12 +220,6 @@ class EntryList {
     return s.slab->at(s.begin + static_cast<uint32_t>(head_ + i - s.start));
   }
 
-  EntryRef RefAt(size_t i) const {
-    const Seg& s = SegFor(i);
-    return EntryRef(s.slab,
-                    s.begin + static_cast<uint32_t>(head_ + i - s.start));
-  }
-
   /// Zero-copy view of [pos, pos+count). Copies segment descriptors only.
   EntrySpan Span(size_t pos, size_t count) const {
     EntrySpan out;

@@ -4,6 +4,11 @@
 
 namespace recraft::shard {
 
+namespace {
+/// Target group size; splits take spares to staff both halves at this.
+constexpr size_t kNodesPerShard = 3;
+}  // namespace
+
 PlacementDriver::PlacementDriver(harness::World& world, ShardMap& map,
                                  Rebalancer& rb, PlacementOptions opts)
     : world_(world), map_(map), rb_(rb), opts_(opts) {}
@@ -33,8 +38,6 @@ PlacementDriver::ShardMetrics PlacementDriver::MetricsOf(
     m.keys = world_.node(probe).machine().Size();
     m.bytes = world_.node(probe).machine().ApproxBytes();
   }
-  auto it = ops_since_step_.find(s.id);
-  if (it != ops_since_step_.end()) m.ops = it->second;
   return m;
 }
 
@@ -59,12 +62,9 @@ std::vector<NodeId> PlacementDriver::TakeSpares(size_t n) {
 
 void PlacementDriver::ReleaseFreed(const std::vector<NodeId>& freed) {
   for (NodeId id : freed) {
-    if (opts_.recycle_freed) {
-      // Best effort: a node that cannot be wiped right now (e.g. crashed)
-      // is simply not pooled; splits fall back to fresh spares.
-      if (!world_.WipeNode(id).ok()) continue;
-    }
-    spares_.push_back(id);
+    // Best effort: a node that cannot be wiped right now (e.g. crashed) is
+    // simply not pooled; splits fall back to fresh spares.
+    if (world_.WipeNode(id).ok()) spares_.push_back(id);
   }
 }
 
@@ -118,8 +118,8 @@ Status PlacementDriver::SplitShard(ShardId id, std::string split_key) {
     return Rejected("split key not strictly inside " + shard.range.ToString());
   }
   std::vector<NodeId> extra;
-  if (shard.members.size() < 2 * opts_.nodes_per_shard) {
-    extra = TakeSpares(2 * opts_.nodes_per_shard - shard.members.size());
+  if (shard.members.size() < 2 * kNodesPerShard) {
+    extra = TakeSpares(2 * kNodesPerShard - shard.members.size());
   }
   auto res = rb_.Split(shard, split_key, extra);
   if (!res.ok()) {
@@ -205,20 +205,16 @@ PlacementDriver::StepReport PlacementDriver::Step() {
     metrics_.counters().Add("shard." + std::to_string(id) + ".ops", ops);
   }
 
-  // -- split pass: the biggest shard over a threshold ----------------------
-  if (map_.size() < opts_.max_shards &&
-      (opts_.split_threshold_keys > 0 || opts_.split_threshold_ops > 0)) {
+  // -- split pass: the biggest shard over the key threshold ---------------
+  if (map_.size() < opts_.max_shards && opts_.split_threshold_keys > 0) {
     ShardId pick = kNoShard;
     size_t pick_keys = 0;
     for (const ShardInfo& s : map_.Shards()) {
-      ShardMetrics m = MetricsOf(s);
-      bool hot = (opts_.split_threshold_keys > 0 &&
-                  m.keys >= opts_.split_threshold_keys) ||
-                 (opts_.split_threshold_ops > 0 &&
-                  m.ops >= opts_.split_threshold_ops);
-      if (hot && (pick == kNoShard || m.keys > pick_keys)) {
+      size_t keys = MetricsOf(s).keys;
+      if (keys >= opts_.split_threshold_keys &&
+          (pick == kNoShard || keys > pick_keys)) {
         pick = s.id;
-        pick_keys = m.keys;
+        pick_keys = keys;
       }
     }
     if (pick != kNoShard) {

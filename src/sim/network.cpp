@@ -8,6 +8,8 @@ namespace recraft::sim {
 
 namespace {
 
+constexpr Duration kLoopbackLatency = 10;  // self-delivery, microseconds
+
 template <typename T>
 void EnsureIndex(std::vector<T>& v, NodeId id, T fill) {
   if (id >= v.size()) v.resize(static_cast<size_t>(id) + 1, fill);
@@ -76,7 +78,7 @@ Duration Network::DeliveryDelay(NodeId from, NodeId to, size_t bytes) {
   }
   if (!overridden) {
     if (from == to) {
-      base = opts_.loopback_latency;
+      base = kLoopbackLatency;
     } else {
       base = opts_.base_latency;
       if (opts_.jitter > 0) base += rng_.Uniform(0, 2 * opts_.jitter);

@@ -30,7 +30,6 @@ namespace recraft::sim {
 struct NetworkOptions {
   Duration base_latency = 500;     // one-way, microseconds
   Duration jitter = 100;           // +/- uniform jitter, microseconds
-  Duration loopback_latency = 10;  // self-delivery
   uint64_t bandwidth_bytes_per_sec = 1ULL << 30;  // 1 GiB/s
   double drop_probability = 0.0;   // uniform message loss
 };

@@ -66,7 +66,6 @@ class QueueMachine final : public StateMachine {
   Status MergeIn(const Snapshot& snap) override;
 
   // Test probes.
-  size_t TopicCount() const { return topics_.size(); }
   size_t TopicDepth(const std::string& topic) const {
     auto it = topics_.find(topic);
     return it == topics_.end() ? 0 : it->second.size();

@@ -14,7 +14,7 @@
 //     prescribes.
 //
 // WalStorage is written against this interface only; it decides *when* to
-// flush (group commit, vote barriers), the Disk decides *what that costs*.
+// flush (group commit, vote barriers), the Disk carries the flush out.
 // Crash injection stays on SimDisk — a real disk's crash is the OS's to
 // deliver, not ours to fake.
 #pragma once
@@ -29,12 +29,13 @@ namespace recraft::storage {
 
 class Disk {
  public:
+  /// Operation and byte counters only; the seam measures no I/O time
+  /// (SimDisk models none).
   struct Stats {
     uint64_t flushes = 0;           // fsync count (durability barriers)
     uint64_t flushed_bytes = 0;     // bytes made durable by flushes
     uint64_t atomic_writes = 0;     // whole-file atomic replacements
     uint64_t appended_bytes = 0;    // bytes entering the pending region
-    Duration io_busy = 0;           // time spent writing (simulated or real)
     uint64_t crash_lost_bytes = 0;  // pending bytes discarded by crashes
   };
 

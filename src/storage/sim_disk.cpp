@@ -5,15 +5,6 @@
 
 namespace recraft::storage {
 
-void SimDisk::ChargeWrite(size_t bytes) {
-  stats_.io_busy += opts_.fsync_latency + extra_fsync_latency_;
-  if (opts_.throughput_bytes_per_sec > 0) {
-    stats_.io_busy += static_cast<Duration>(
-        (static_cast<unsigned __int128>(bytes) * kSecond) /
-        opts_.throughput_bytes_per_sec);
-  }
-}
-
 void SimDisk::Append(const std::string& file,
                      const std::vector<uint8_t>& bytes) {
   auto& f = files_[file];
@@ -27,7 +18,6 @@ void SimDisk::Flush(const std::string& file) {
   File& f = it->second;
   ++stats_.flushes;
   stats_.flushed_bytes += f.pending.size();
-  ChargeWrite(f.pending.size());
   f.durable.insert(f.durable.end(), f.pending.begin(), f.pending.end());
   f.pending.clear();
 }
@@ -35,7 +25,6 @@ void SimDisk::Flush(const std::string& file) {
 void SimDisk::WriteAtomic(const std::string& file,
                           std::vector<uint8_t> bytes) {
   ++stats_.atomic_writes;
-  ChargeWrite(bytes.size());
   File& f = files_[file];
   f.durable = std::move(bytes);
   f.pending.clear();

@@ -1,11 +1,12 @@
 // A deterministic simulated disk for the persistence subsystem. Holds named
 // byte files with a durable region and a pending (written-but-not-fsynced)
-// region; Flush() moves pending bytes to the durable region and charges
-// simulated I/O latency to a busy-time accumulator so benches can report
-// how much disk time a workload would have spent. Crashing discards pending
-// bytes — optionally keeping a prefix, which is how torn tail records and
-// partially flushed batches are injected (a real crash can land mid-way
-// through the sector writes of an fsync that never returned).
+// region; Flush() moves pending bytes to the durable region and counts the
+// barrier in Stats. Crashing discards pending bytes — optionally keeping a
+// prefix, which is how torn tail records and partially flushed batches are
+// injected (a real crash can land mid-way through the sector writes of an
+// fsync that never returned). The disk models no I/O time of its own: the
+// only latency it injects is the nemesis-armed fsync delay, which the
+// owning WalStorage applies to its group commit.
 //
 // Determinism: the disk draws no randomness and schedules no events; all
 // timing flows through the owning WalStorage's use of the EventQueue, so a
@@ -25,19 +26,11 @@ namespace recraft::storage {
 
 class SimDisk final : public Disk {
  public:
-  struct Options {
-    Duration fsync_latency = 100;                       // per flush, us
-    uint64_t throughput_bytes_per_sec = 512ull << 20;   // sequential write
-  };
-
-  SimDisk() : SimDisk(Options()) {}
-  explicit SimDisk(Options opts) : opts_(opts) {}
-
   /// Append bytes to a file's pending region (not durable until Flush).
   void Append(const std::string& file,
               const std::vector<uint8_t>& bytes) override;
 
-  /// Make a file's pending bytes durable (fsync). Charges I/O latency.
+  /// Make a file's pending bytes durable (fsync).
   void Flush(const std::string& file) override;
 
   /// Atomically replace a file's contents, durable immediately (models
@@ -59,8 +52,7 @@ class SimDisk final : public Disk {
   // --- latency injection (nemesis hooks) ----------------------------------
   /// Add `extra` microseconds to every fsync completion (a disk-latency
   /// spike: a shared SSD hiccup, a rebuilding RAID). The owning WalStorage
-  /// defers each group commit by this amount; the charge also lands in
-  /// io_busy so benches see it. 0 restores normal latency.
+  /// defers each group commit by this amount. 0 restores normal latency.
   void SetExtraFsyncLatency(Duration extra) { extra_fsync_latency_ = extra; }
   Duration extra_fsync_latency() const override {
     return extra_fsync_latency_;
@@ -97,9 +89,6 @@ class SimDisk final : public Disk {
     std::vector<uint8_t> pending;
   };
 
-  void ChargeWrite(size_t bytes);
-
-  Options opts_;
   std::map<std::string, File> files_;
   Stats stats_;
   Duration extra_fsync_latency_ = 0;

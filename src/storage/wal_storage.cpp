@@ -16,6 +16,9 @@ namespace {
 constexpr char kWalFile[] = "wal";
 constexpr char kExMetaFile[] = "exmeta";
 constexpr size_t kRecordHeaderBytes = 8;  // u32 len + u32 crc
+/// Snapshot generations kept on disk: Load's divergence fallback needs the
+/// previous one when the newest one's WAL marker was lost in a crash.
+constexpr uint32_t kSnapshotsToKeep = 2;
 }  // namespace
 
 WalStorage::WalStorage(std::shared_ptr<Disk> disk, net::Clock* clock,
@@ -215,8 +218,8 @@ void WalStorage::InstallSnapshot(const raft::RaftSnapshotPtr& snap) {
   EncodeRaftSnapshot(blob, *snap);
   disk_->WriteAtomic(SnapFile(gen), blob.Take());  // durable before marker
   ++stats_.snapshots_written;
-  if (gen > opts_.snapshots_to_keep) {
-    disk_->Delete(SnapFile(gen - opts_.snapshots_to_keep));
+  if (gen > kSnapshotsToKeep) {
+    disk_->Delete(SnapFile(gen - kSnapshotsToKeep));
   }
   model_.snap_gen = gen;
   model_.snap_index = snap->last_index;

@@ -267,11 +267,11 @@ TEST(SimDisk, CrashCanKeepAPendingPrefix) {
   EXPECT_EQ(disk.ReadDurable("wal")[1], 2);
 }
 
-TEST(SimDisk, AtomicWritesAreImmediatelyDurableAndCharged) {
+TEST(SimDisk, AtomicWritesAreImmediatelyDurableAndCounted) {
   SimDisk disk;
   disk.WriteAtomic("snap-1", std::vector<uint8_t>(1024, 0xab));
   EXPECT_EQ(disk.DurableSize("snap-1"), 1024u);
-  EXPECT_GT(disk.stats().io_busy, 0u);
+  EXPECT_EQ(disk.stats().atomic_writes, 1u);
   EXPECT_EQ(disk.List("snap-").size(), 1u);
 }
 
@@ -644,6 +644,51 @@ INSTANTIATE_TEST_SUITE_P(AllPoints, CrashMatrix,
                                            CrashPoint::kTornTail,
                                            CrashPoint::kPartialBatch,
                                            CrashPoint::kSnapLogDivergence));
+
+// Two snapshot generations stay on disk: installing the third deletes the
+// first, and a crash that loses the third's WAL marker boots from the
+// second — the generation the surviving WAL references — with no fallback.
+TEST(WalStorage, DivergenceAfterThirdSnapshotBootsFromTheSecond) {
+  auto disk = std::make_shared<SimDisk>();
+  WalStorage::Options wopts;
+  wopts.flush_interval = 1000;  // manual: the third marker stays in flight
+  auto wal = std::make_unique<WalStorage>(disk, nullptr, wopts);
+  for (Index i = 1; i <= 6; ++i) {
+    wal->OnLogAppend(KvEntry(i, 1, "k" + std::to_string(i), "v"));
+  }
+  wal->Sync();
+  auto install = [&](Index at) {
+    auto snap = std::make_shared<raft::RaftSnapshot>();
+    snap->last_index = at;
+    snap->last_term = 1;
+    snap->state = kv::KvMachine::Wrap(std::make_shared<const kv::Snapshot>());
+    snap->config.members = {1, 2, 3};
+    wal->InstallSnapshot(snap);
+    wal->OnLogCompactTo(at, 1);
+  };
+  install(2);
+  wal->Sync();
+  install(4);
+  wal->Sync();
+  install(6);  // blob durable, marker pending
+  EXPECT_FALSE(disk->Exists("snap-1"));
+
+  wal->Crash(CrashSpec{CrashPoint::kSnapLogDivergence});
+  wal.reset();
+
+  WalStorage fresh(disk, nullptr, wopts);
+  auto img = fresh.Load();
+  ASSERT_TRUE(img.ok());
+  ASSERT_NE(img->snap, nullptr);
+  EXPECT_EQ(img->snap->last_index, 4u);  // snap-2
+  EXPECT_EQ(img->base_index, 4u);
+  ASSERT_EQ(img->entries.size(), 2u);
+  EXPECT_EQ(img->entries.front().index, 5u);
+  EXPECT_FALSE(disk->Exists("snap-1"));
+  EXPECT_TRUE(disk->Exists("snap-2"));
+  EXPECT_TRUE(disk->Exists("snap-3"));  // the orphan blob is ignored
+  EXPECT_FALSE(fresh.stats().snapshot_fallback);
+}
 
 TEST(WalStorage, WritesAfterTornTailRecoverySurviveTheNextCrash) {
   // Regression: recovery must truncate the torn tail off the durable file.
