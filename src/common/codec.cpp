@@ -3,23 +3,24 @@
 namespace recraft {
 
 Result<uint8_t> Decoder::GetU8() {
-  if (auto s = Need(1); !s.ok()) return s;
-  return data_[pos_++];
+  const uint8_t* p = Take(1);
+  if (p == nullptr) return Internal("codec: truncated buffer");
+  return *p;
 }
 
 Result<uint32_t> Decoder::GetU32() {
-  if (auto s = Need(4); !s.ok()) return s;
+  const uint8_t* p = Take(4);
+  if (p == nullptr) return Internal("codec: truncated buffer");
   uint32_t v;
-  std::memcpy(&v, data_ + pos_, 4);
-  pos_ += 4;
+  std::memcpy(&v, p, 4);
   return v;
 }
 
 Result<uint64_t> Decoder::GetU64() {
-  if (auto s = Need(8); !s.ok()) return s;
+  const uint8_t* p = Take(8);
+  if (p == nullptr) return Internal("codec: truncated buffer");
   uint64_t v;
-  std::memcpy(&v, data_ + pos_, 8);
-  pos_ += 8;
+  std::memcpy(&v, p, 8);
   return v;
 }
 
@@ -32,19 +33,9 @@ Result<bool> Decoder::GetBool() {
 Result<std::string> Decoder::GetString() {
   auto n = GetU32();
   if (!n.ok()) return n.status();
-  if (auto s = Need(*n); !s.ok()) return s;
-  std::string out(reinterpret_cast<const char*>(data_ + pos_), *n);
-  pos_ += *n;
-  return out;
-}
-
-Result<std::vector<uint8_t>> Decoder::GetBytes() {
-  auto n = GetU32();
-  if (!n.ok()) return n.status();
-  if (auto s = Need(*n); !s.ok()) return s;
-  std::vector<uint8_t> out(data_ + pos_, data_ + pos_ + *n);
-  pos_ += *n;
-  return out;
+  const uint8_t* p = Take(*n);
+  if (p == nullptr) return Internal("codec: truncated buffer");
+  return std::string(reinterpret_cast<const char*>(p), *n);
 }
 
 const char* CodeName(Code c) {

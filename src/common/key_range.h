@@ -45,6 +45,20 @@ class KeyRange {
   bool operator==(const KeyRange& o) const;
   std::string ToString() const;
 
+  /// The codec's field list (common/codec.h): lo, hi, then the +inf flag.
+  /// A decoded finite range must have a non-empty hi.
+  template <class IO>
+  friend void Fields(IO& io, KeyRange& r) {
+    io(r.lo_, r.hi_, r.hi_inf_);
+    if constexpr (IO::kReading) {
+      if (r.hi_inf_) {
+        r.hi_.clear();
+      } else if (r.hi_.empty()) {
+        io.Fail(Internal("codec: finite range with empty hi"));
+      }
+    }
+  }
+
  private:
   std::string lo_;
   std::string hi_;

@@ -7,6 +7,24 @@
 
 namespace recraft::kv {
 
+// A session travels as its last sequence number, the code of its recorded
+// status (not the message) and its recorded value.
+template <class IO>
+void Fields(IO& io, Session& s) {
+  io(s.last_seq);
+  io.StatusCode(s.last_result.status);
+  io(s.last_result.value);
+}
+
+/// The range, then the data and the sessions behind u64 counts. Honest
+/// serializers emit key order, so decoding keeps `data` sorted.
+template <class IO>
+void Fields(IO& io, Snapshot& s) {
+  io(s.range);
+  io.Seq64(s.data);
+  io.Seq64(s.sessions);
+}
+
 namespace {
 size_t EntryBytes(const std::string& k, const std::string& v) {
   return k.size() + v.size() + 16;  // keys+values plus per-entry overhead
@@ -43,65 +61,10 @@ size_t Snapshot::SerializedBytes() const {
   return n;
 }
 
-std::vector<uint8_t> Snapshot::Serialize() const {
-  Encoder enc;
-  enc.PutString(range.lo());
-  enc.PutString(range.hi());
-  enc.PutBool(range.hi_is_inf());
-  enc.PutU64(data.size());
-  for (const auto& [k, v] : data) {
-    enc.PutString(k);
-    enc.PutString(v);
-  }
-  enc.PutU64(sessions.size());
-  for (const auto& [id, s] : sessions) {
-    enc.PutU64(id);
-    enc.PutU64(s.last_seq);
-    enc.PutU8(static_cast<uint8_t>(s.last_result.status.code()));
-    enc.PutString(s.last_result.value);
-  }
-  return enc.Take();
-}
+std::vector<uint8_t> Snapshot::Serialize() const { return Encode(*this); }
 
 Result<Snapshot> Snapshot::Deserialize(const std::vector<uint8_t>& bytes) {
-  Decoder dec(bytes);
-  Snapshot out;
-  auto lo = dec.GetString();
-  if (!lo.ok()) return lo.status();
-  auto hi = dec.GetString();
-  if (!hi.ok()) return hi.status();
-  auto inf = dec.GetBool();
-  if (!inf.ok()) return inf.status();
-  out.range = *inf ? KeyRange(*lo, "") : KeyRange(*lo, *hi);
-  auto n = dec.GetU64();
-  if (!n.ok()) return n.status();
-  out.data.reserve(*n);
-  for (uint64_t i = 0; i < *n; ++i) {
-    auto k = dec.GetString();
-    if (!k.ok()) return k.status();
-    auto v = dec.GetString();
-    if (!v.ok()) return v.status();
-    // Honest serializers emit key order, so appending keeps `data` sorted.
-    out.data.emplace_back(std::move(*k), std::move(*v));
-  }
-  auto ns = dec.GetU64();
-  if (!ns.ok()) return ns.status();
-  for (uint64_t i = 0; i < *ns; ++i) {
-    auto id = dec.GetU64();
-    if (!id.ok()) return id.status();
-    auto seq = dec.GetU64();
-    if (!seq.ok()) return seq.status();
-    auto code = dec.GetU8();
-    if (!code.ok()) return code.status();
-    auto val = dec.GetString();
-    if (!val.ok()) return val.status();
-    Session s;
-    s.last_seq = *seq;
-    s.last_result.status = Status(static_cast<Code>(*code));
-    s.last_result.value = std::move(*val);
-    out.sessions.emplace(*id, std::move(s));
-  }
-  return out;
+  return Decode<Snapshot>(bytes);
 }
 
 OpResult Store::Apply(const Command& cmd) {

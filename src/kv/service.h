@@ -49,10 +49,10 @@ struct Response {
 sm::Command EncodeCommand(const Command& cmd);
 Result<Command> DecodeCommand(const sm::Command& cmd);
 
-std::string EncodeScanBatch(
-    const std::vector<std::pair<std::string, std::string>>& entries);
-Result<std::vector<std::pair<std::string, std::string>>> DecodeScanBatch(
-    const std::string& payload);
+/// A scan's (key, value) entries: a u32 count, then the pairs.
+using ScanBatch = std::vector<std::pair<std::string, std::string>>;
+std::string EncodeScanBatch(const ScanBatch& entries);
+Result<ScanBatch> DecodeScanBatch(const std::string& payload);
 
 /// Decode (status, opaque payload) into the typed Response for `op`.
 Response DecodeResponse(OpType op, Status status, const std::string& payload);

@@ -17,6 +17,16 @@
 #include "net/udp_clock.h"
 #include "net/wire.h"
 
+namespace recraft::obs {
+
+// Every message frame leads with the sender's trace context.
+template <class IO>
+void Fields(IO& io, TraceCtx& c) {
+  io(c.trace_id, c.parent_span);
+}
+
+}  // namespace recraft::obs
+
 namespace recraft::net {
 
 namespace {
@@ -215,9 +225,7 @@ void UdpTransport::Send(NodeId from, NodeId to, const raft::MessagePtr& msg) {
   if (!msg || fd_ < 0) return;
 
   Encoder enc;
-  obs::TraceCtx ctx = msg.trace_ctx();
-  enc.PutU64(ctx.trace_id);
-  enc.PutU64(ctx.parent_span);
+  Encode(enc, msg.trace_ctx());
   EncodeMessage(enc, *msg);
 
   Peer* p = GetPeer(to, nullptr);
@@ -237,9 +245,8 @@ void UdpTransport::Send(NodeId from, NodeId to, const raft::MessagePtr& msg) {
 
 void UdpTransport::Deliver(NodeId from, std::vector<uint8_t> message) {
   Decoder dec(message.data(), message.size());
-  auto trace_id = dec.GetU64();
-  auto parent_span = dec.GetU64();
-  if (!trace_id.ok() || !parent_span.ok()) {
+  auto ctx = Decode<obs::TraceCtx>(dec);
+  if (!ctx.ok()) {
     if (metrics_ != nullptr) metrics_->counters().Add(ids_.decode_errors);
     return;
   }
@@ -250,11 +257,8 @@ void UdpTransport::Deliver(NodeId from, std::vector<uint8_t> message) {
               decoded.status().message().c_str());
     return;
   }
-  obs::TraceCtx ctx;
-  ctx.trace_id = *trace_id;
-  ctx.parent_span = *parent_span;
-  decoded->set_trace_ctx(ctx);
-  if (receive_) receive_(from, **decoded, ctx);
+  decoded->set_trace_ctx(*ctx);
+  if (receive_) receive_(from, **decoded, *ctx);
 }
 
 void UdpTransport::OnReadable() {

@@ -1,15 +1,14 @@
 // Wire format for raft::Message over a real transport. The simulator never
-// serializes (payloads travel as shared pointers); UdpTransport does, so
-// every variant gets an explicit, append-only tag here and its fields ride
-// the same storage/codec encoders the WAL uses — one binary dialect for
-// disk and wire.
+// serializes (payloads travel as shared pointers); UdpTransport does. The
+// message and client-body field lists and their pinned, append-only tags
+// live in wire.cpp; the fields they share with the WAL (log entries, plans,
+// configurations, snapshots) ride the storage/codec.h field lists — one
+// binary dialect for disk and wire.
 //
-// DecodeMessage treats truncation and unknown tags as errors, never UB: a
-// datagram that passed the reliable link's framing can still be from a
-// different build, and recovery-grade paranoia is cheap. Decoded
-// AppendEntries/PullReply spans are rebuilt into a fresh EntrySlab — the
-// refcounted zero-copy sharing is a within-process optimization; across
-// processes the bytes are the truth.
+// DecodeMessage treats truncation, unknown tags and counts larger than the
+// datagram as errors, never UB or an exception: a datagram that passed the
+// reliable link's framing can still be from a different build or hostile.
+// Decoded AppendEntries/PullReply spans are rebuilt into a fresh EntrySlab.
 #pragma once
 
 #include "common/codec.h"

@@ -15,7 +15,7 @@ PlacementDriver::PlacementDriver(harness::World& world, ShardMap& map,
 
 void PlacementDriver::RecordOp(const std::string& key) {
   const ShardInfo* s = map_.Lookup(key);
-  if (s != nullptr) ++ops_since_step_[s->id];
+  if (s != nullptr) ++ops_since_publish_[s->id];
 }
 
 PlacementDriver::ShardMetrics PlacementDriver::MetricsOf(
@@ -145,7 +145,6 @@ Status PlacementDriver::SplitShard(ShardId id, std::string split_key) {
   delta.remove = {id};
   delta.add = res->shards;
   if (Status s = map_.Apply(delta); !s.ok()) return s;
-  ops_since_step_.erase(id);
   ReleaseFreed(res->freed);
   ++splits_done_;
   return OkStatus();
@@ -175,8 +174,6 @@ Status PlacementDriver::MergeShards(ShardId left_id, ShardId right_id) {
   delta.remove = {left_id, right_id};
   delta.add = res->shards;
   if (Status s = map_.Apply(delta); !s.ok()) return s;
-  ops_since_step_.erase(left_id);
-  ops_since_step_.erase(right_id);
   ReleaseFreed(res->freed);
   ++merges_done_;
   return OkStatus();
@@ -193,17 +190,19 @@ void PlacementDriver::PublishMetrics() {
     metrics_.gauge(prefix + ".bytes").Set(static_cast<int64_t>(m.bytes));
     metrics_.histogram("placement.shard_keys").Record(m.keys);
   }
+  // The op window is per publish: every recorded op lands in exactly one
+  // publish, under the shard that served its key when it was recorded.
+  for (const auto& [id, ops] : ops_since_publish_) {
+    // NOLINTNEXTLINE(recraft-hot-path-hygiene): once per publish, and the per-shard name is dynamic by design
+    metrics_.counters().Add("shard." + std::to_string(id) + ".ops", ops);
+  }
+  ops_since_publish_.clear();
 }
 
 PlacementDriver::StepReport PlacementDriver::Step() {
   StepReport report;
-  // Publish first: the snapshot reflects the metrics this pass decides on,
-  // and the per-shard op windows are still intact (cleared at the end).
+  // Publish first: the snapshot reflects the metrics this pass decides on.
   PublishMetrics();
-  for (const auto& [id, ops] : ops_since_step_) {
-    // NOLINTNEXTLINE(recraft-hot-path-hygiene): once per policy pass, and the per-shard name is dynamic by design
-    metrics_.counters().Add("shard." + std::to_string(id) + ".ops", ops);
-  }
 
   // -- split pass: the biggest shard over the key threshold ---------------
   if (map_.size() < opts_.max_shards && opts_.split_threshold_keys > 0) {
@@ -258,8 +257,6 @@ PlacementDriver::StepReport PlacementDriver::Step() {
     }
   }
 
-  // Load windows are per-step.
-  ops_since_step_.clear();
   return report;
 }
 

@@ -34,8 +34,9 @@ class PlacementDriver {
   PlacementDriver(harness::World& world, ShardMap& map, Rebalancer& rb,
                   PlacementOptions opts = {});
 
-  /// Load-accounting hook; wire it to ClientOptions::on_op_complete. Step
-  /// publishes the counts as per-shard `.ops` counters.
+  /// Load-accounting hook; wire it to ClientOptions::on_op_complete. The
+  /// next PublishMetrics (Step calls it) adds the counts to the per-shard
+  /// `.ops` counters.
   void RecordOp(const std::string& key);
 
   struct StepReport {
@@ -88,7 +89,7 @@ class PlacementDriver {
   Rebalancer& rb_;
   PlacementOptions opts_;
   std::deque<NodeId> spares_;
-  std::map<ShardId, uint64_t> ops_since_step_;
+  std::map<ShardId, uint64_t> ops_since_publish_;
   uint64_t splits_done_ = 0;
   uint64_t merges_done_ = 0;
   MetricRegistry metrics_;

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <variant>
 
 #include "common/logging.h"
 #include "storage/codec.h"
@@ -19,6 +20,78 @@ constexpr size_t kRecordHeaderBytes = 8;  // u32 len + u32 crc
 /// Snapshot generations kept on disk: Load's divergence fallback needs the
 /// previous one when the newest one's WAL marker was lost in a crash.
 constexpr uint32_t kSnapshotsToKeep = 2;
+
+// The WAL record bodies besides HardState and raft::LogEntry.
+struct TruncateFrom {
+  Index from = 0;
+};
+struct Reset {
+  Index base = 0;
+  uint64_t term = 0;
+};
+struct CompactTo {
+  Index to = 0;
+  uint64_t term = 0;
+};
+struct SnapInstalled {
+  uint32_t gen = 0;
+  Index index = 0;
+  uint64_t term = 0;
+};
+
+template <class IO>
+void Fields(IO& io, TruncateFrom& r) {
+  io(r.from);
+}
+template <class IO>
+void Fields(IO& io, Reset& r) {
+  io(r.base, r.term);
+}
+template <class IO>
+void Fields(IO& io, CompactTo& r) {
+  io(r.to, r.term);
+}
+template <class IO>
+void Fields(IO& io, SnapInstalled& r) {
+  io(r.gen, r.index, r.term);
+}
+
+using WalRecord = std::variant<HardState, raft::LogEntry, TruncateFrom, Reset,
+                               CompactTo, SnapInstalled>;
+}  // namespace
+
+}  // namespace recraft::storage
+
+namespace recraft {
+
+// Record tags — part of the durable format; append-only.
+template <>
+struct VariantTags<storage::WalRecord>
+    : TagTable<Tag<storage::HardState, 1>, Tag<raft::LogEntry, 2>,
+               Tag<storage::TruncateFrom, 3>, Tag<storage::Reset, 4>,
+               Tag<storage::CompactTo, 5>, Tag<storage::SnapInstalled, 6>> {};
+
+}  // namespace recraft
+
+namespace recraft::storage {
+
+namespace {
+
+/// Appends one framed record — [u32 len][u32 crc][tag][fields] — to `enc`,
+/// patching len and crc in place: no second copy of the body.
+template <class Body>
+void PutRecord(Encoder& enc, const Body& body) {
+  const size_t start = enc.size();
+  enc.PutU32(0);
+  enc.PutU32(0);
+  Writer w(enc);
+  w.Tagged<WalRecord>(body);
+  const size_t payload_at = start + kRecordHeaderBytes;
+  const size_t n = enc.size() - payload_at;
+  enc.PatchU32(start, static_cast<uint32_t>(n));
+  enc.PatchU32(start + 4, Crc32(enc.buffer().data() + payload_at, n));
+}
+
 }  // namespace
 
 WalStorage::WalStorage(std::shared_ptr<Disk> disk, net::Clock* clock,
@@ -48,23 +121,7 @@ std::string WalStorage::SealFile(TxId tx, int source) {
 
 size_t WalStorage::wal_file_bytes() const { return wal_len_; }
 
-size_t WalStorage::BeginRecord(Encoder& enc, RecordType type) {
-  const size_t start = enc.size();
-  enc.PutU32(0);  // len, patched by FinishRecord
-  enc.PutU32(0);  // crc, patched by FinishRecord
-  enc.PutU8(type);
-  return start;
-}
-
-void WalStorage::FinishRecord(Encoder& enc, size_t start) {
-  const size_t payload_at = start + kRecordHeaderBytes;
-  const size_t n = enc.size() - payload_at;
-  enc.PatchU32(start, static_cast<uint32_t>(n));
-  enc.PatchU32(start + 4, Crc32(enc.buffer().data() + payload_at, n));
-}
-
-void WalStorage::AppendRecord(Encoder& record, bool force_sync) {
-  FinishRecord(record, 0);
+void WalStorage::AppendRecord(const Encoder& record, bool force_sync) {
   pending_record_offsets_.push_back(wal_len_);
   wal_len_ += record.size();
   disk_->Append(kWalFile, record.buffer());
@@ -147,8 +204,7 @@ Index WalStorage::DurableIndex() const {
 void WalStorage::OnLogAppend(const raft::EntryRef& e) {
   assert(e->index == model_.last_index() + 1);
   Encoder enc;
-  BeginRecord(enc, kRecAppend);
-  EncodeLogEntry(enc, *e);
+  PutRecord(enc, *e);
   model_.entries.PushShared(e);  // mirror by slab reference, no deep copy
   ++stats_.entry_records;
   AppendRecord(enc, /*force_sync=*/false);
@@ -156,8 +212,7 @@ void WalStorage::OnLogAppend(const raft::EntryRef& e) {
 
 void WalStorage::OnLogTruncateFrom(Index i) {
   Encoder enc;
-  BeginRecord(enc, kRecTruncateFrom);
-  enc.PutU64(i);
+  PutRecord(enc, TruncateFrom{i});
   while (!model_.entries.empty() && model_.entries.back().index >= i) {
     model_.entries.PopBack();
   }
@@ -167,9 +222,7 @@ void WalStorage::OnLogTruncateFrom(Index i) {
 
 void WalStorage::OnLogCompactTo(Index i, uint64_t term) {
   Encoder enc;
-  BeginRecord(enc, kRecCompactTo);
-  enc.PutU64(i);
-  enc.PutU64(term);
+  PutRecord(enc, CompactTo{i, term});
   while (!model_.entries.empty() && model_.entries.front().index <= i) {
     model_.entries.PopFront();
   }
@@ -184,9 +237,7 @@ void WalStorage::OnLogCompactTo(Index i, uint64_t term) {
 
 void WalStorage::OnLogReset(Index base, uint64_t term) {
   Encoder enc;
-  BeginRecord(enc, kRecReset);
-  enc.PutU64(base);
-  enc.PutU64(term);
+  PutRecord(enc, Reset{base, term});
   model_.entries.Clear();
   model_.base_index = base;
   model_.base_term = term;
@@ -204,19 +255,14 @@ void WalStorage::PersistHardState(const HardState& hs) {
               hs.voted_for != model_.hard.voted_for;
   model_.hard = hs;
   Encoder enc;
-  BeginRecord(enc, kRecHardState);
-  enc.PutU64(hs.term);
-  enc.PutU32(hs.voted_for);
-  enc.PutU64(hs.commit);
+  PutRecord(enc, hs);
   AppendRecord(enc, sync);
 }
 
 void WalStorage::InstallSnapshot(const raft::RaftSnapshotPtr& snap) {
   assert(snap != nullptr);
   uint32_t gen = model_.snap_gen + 1;
-  Encoder blob;
-  EncodeRaftSnapshot(blob, *snap);
-  disk_->WriteAtomic(SnapFile(gen), blob.Take());  // durable before marker
+  disk_->WriteAtomic(SnapFile(gen), Encode(*snap));  // durable before marker
   ++stats_.snapshots_written;
   if (gen > kSnapshotsToKeep) {
     disk_->Delete(SnapFile(gen - kSnapshotsToKeep));
@@ -225,10 +271,7 @@ void WalStorage::InstallSnapshot(const raft::RaftSnapshotPtr& snap) {
   model_.snap_index = snap->last_index;
   model_.snap_term = snap->last_term;
   Encoder enc;
-  BeginRecord(enc, kRecSnapInstalled);
-  enc.PutU32(gen);
-  enc.PutU64(snap->last_index);
-  enc.PutU64(snap->last_term);
+  PutRecord(enc, SnapInstalled{gen, snap->last_index, snap->last_term});
   last_snap_record_off_ = wal_len_;
   // Deliberately batched: the window until the next flush is the
   // "crash between snapshot install and log truncation" crash point.
@@ -238,9 +281,7 @@ void WalStorage::InstallSnapshot(const raft::RaftSnapshotPtr& snap) {
 void WalStorage::PersistSealed(TxId tx, int source,
                                const sm::SnapshotPtr& snap) {
   assert(snap != nullptr);
-  Encoder enc;
-  EncodeSmSnapshot(enc, *snap);
-  disk_->WriteAtomic(SealFile(tx, source), enc.Take());
+  disk_->WriteAtomic(SealFile(tx, source), Encode(*snap));
 }
 
 void WalStorage::PruneSealed(TxId tx) {
@@ -251,18 +292,7 @@ void WalStorage::PruneSealed(TxId tx) {
 }
 
 void WalStorage::PersistExchangeMeta(const ExchangeMeta& meta) {
-  Encoder enc;
-  enc.PutBool(meta.pending_plan.has_value());
-  if (meta.pending_plan) EncodeMergePlan(enc, *meta.pending_plan);
-  enc.PutU32(static_cast<uint32_t>(meta.gc.size()));
-  for (const auto& gc : meta.gc) {
-    enc.PutU64(gc.tx);
-    EncodeNodeVec(enc, gc.resumed);
-    EncodeNodeVec(enc, gc.targets);
-    EncodeNodeVec(enc, gc.done);
-    enc.PutBool(gc.self_done);
-  }
-  disk_->WriteAtomic(kExMetaFile, enc.Take());
+  disk_->WriteAtomic(kExMetaFile, Encode(meta));
 }
 
 void WalStorage::WipeAll() {
@@ -282,30 +312,14 @@ std::vector<uint8_t> WalStorage::EncodeCheckpoint() const {
   // base reset, every live entry, final hard state — framed in one buffer.
   Encoder enc;
   if (model_.snap_gen > 0) {
-    const size_t at = BeginRecord(enc, kRecSnapInstalled);
-    enc.PutU32(model_.snap_gen);
-    enc.PutU64(model_.snap_index);
-    enc.PutU64(model_.snap_term);
-    FinishRecord(enc, at);
+    PutRecord(enc, SnapInstalled{model_.snap_gen, model_.snap_index,
+                                 model_.snap_term});
   }
-  {
-    const size_t at = BeginRecord(enc, kRecReset);
-    enc.PutU64(model_.base_index);
-    enc.PutU64(model_.base_term);
-    FinishRecord(enc, at);
-  }
+  PutRecord(enc, Reset{model_.base_index, model_.base_term});
   for (size_t i = 0; i < model_.entries.size(); ++i) {
-    const size_t at = BeginRecord(enc, kRecAppend);
-    EncodeLogEntry(enc, model_.entries.At(i));
-    FinishRecord(enc, at);
+    PutRecord(enc, model_.entries.At(i));
   }
-  {
-    const size_t at = BeginRecord(enc, kRecHardState);
-    enc.PutU64(model_.hard.term);
-    enc.PutU32(model_.hard.voted_for);
-    enc.PutU64(model_.hard.commit);
-    FinishRecord(enc, at);
-  }
+  PutRecord(enc, model_.hard);
   return enc.Take();
 }
 
@@ -394,107 +408,58 @@ void WalStorage::ReplayWal(const std::vector<uint8_t>& bytes, Model* model) {
     if (pos + kRecordHeaderBytes + len > n) break;  // truncated tail record
     const uint8_t* body = bytes.data() + pos + kRecordHeaderBytes;
     if (Crc32(body, len) != crc) break;  // torn or rotted record
-    std::vector<uint8_t> payload(body, body + len);
-    Decoder dec(payload);
-    auto type = dec.GetU8();
-    if (!type.ok()) break;
-    bool ok = true;
-    switch (*type) {
-      case kRecHardState: {
-        auto term = dec.GetU64();
-        auto vote = dec.GetU32();
-        auto commit = dec.GetU64();
-        if (!term.ok() || !vote.ok() || !commit.ok()) {
-          ok = false;
-          break;
-        }
-        model->hard = HardState{*term, *vote, *commit};
-        break;
+    Decoder dec(body, len);
+    WalRecord rec;
+    Reader reader(dec);
+    reader(rec);
+    bool ok = reader.ok();
+    if (!ok) {
+      // Unknown record tag or a body that does not parse: stop here.
+    } else if (const auto* hs = std::get_if<HardState>(&rec)) {
+      model->hard = *hs;
+    } else if (auto* e = std::get_if<raft::LogEntry>(&rec)) {
+      // Defensive: an append below the current end implies a lost
+      // truncate record, which suffix-loss cannot produce — but recover
+      // by honoring the later write anyway.
+      while (!model->entries.empty() &&
+             model->entries.back().index >= e->index) {
+        model->entries.PopBack();
       }
-      case kRecAppend: {
-        auto e = DecodeLogEntry(dec);
-        if (!e.ok()) {
-          ok = false;
-          break;
-        }
-        // Defensive: an append below the current end implies a lost
-        // truncate record, which suffix-loss cannot produce — but recover
-        // by honoring the later write anyway.
-        while (!model->entries.empty() &&
-               model->entries.back().index >= e->index) {
-          model->entries.PopBack();
-        }
-        if (e->index != model->last_index() + 1) {
-          ok = false;  // gap: unreachable via suffix loss, treat as corrupt
-          break;
-        }
+      if (e->index != model->last_index() + 1) {
+        ok = false;  // gap: unreachable via suffix loss, treat as corrupt
+      } else {
         model->entries.PushOwned(std::move(*e));
         ++stats_.replayed_entries;
-        break;
       }
-      case kRecTruncateFrom: {
-        auto i = dec.GetU64();
-        if (!i.ok()) {
-          ok = false;
-          break;
-        }
-        while (!model->entries.empty() && model->entries.back().index >= *i) {
-          model->entries.PopBack();
-        }
-        break;
+    } else if (const auto* t = std::get_if<TruncateFrom>(&rec)) {
+      while (!model->entries.empty() &&
+             model->entries.back().index >= t->from) {
+        model->entries.PopBack();
       }
-      case kRecReset: {
-        auto base = dec.GetU64();
-        auto term = dec.GetU64();
-        if (!base.ok() || !term.ok()) {
-          ok = false;
-          break;
-        }
-        model->entries.Clear();
-        model->base_index = *base;
-        model->base_term = *term;
-        break;
+    } else if (const auto* r = std::get_if<Reset>(&rec)) {
+      model->entries.Clear();
+      model->base_index = r->base;
+      model->base_term = r->term;
+    } else if (const auto* c = std::get_if<CompactTo>(&rec)) {
+      while (!model->entries.empty() &&
+             model->entries.front().index <= c->to) {
+        model->entries.PopFront();
       }
-      case kRecCompactTo: {
-        auto i = dec.GetU64();
-        auto term = dec.GetU64();
-        if (!i.ok() || !term.ok()) {
-          ok = false;
-          break;
-        }
+      model->base_index = c->to;
+      model->base_term = c->term;
+    } else if (const auto* si = std::get_if<SnapInstalled>(&rec)) {
+      model->snap_gen = si->gen;
+      model->snap_index = si->index;
+      model->snap_term = si->term;
+      if (si->index > model->base_index) {
         while (!model->entries.empty() &&
-               model->entries.front().index <= *i) {
+               model->entries.front().index <= si->index) {
           model->entries.PopFront();
         }
-        model->base_index = *i;
-        model->base_term = *term;
-        break;
+        model->base_index = si->index;
+        model->base_term = si->term;
       }
-      case kRecSnapInstalled: {
-        auto gen = dec.GetU32();
-        auto idx = dec.GetU64();
-        auto term = dec.GetU64();
-        if (!gen.ok() || !idx.ok() || !term.ok()) {
-          ok = false;
-          break;
-        }
-        model->snap_gen = *gen;
-        model->snap_index = *idx;
-        model->snap_term = *term;
-        if (*idx > model->base_index) {
-          while (!model->entries.empty() &&
-                 model->entries.front().index <= *idx) {
-            model->entries.PopFront();
-          }
-          model->base_index = *idx;
-          model->base_term = *term;
-        }
-        last_snap_record_off_ = pos;
-        break;
-      }
-      default:
-        ok = false;
-        break;
+      last_snap_record_off_ = pos;
     }
     if (!ok) break;
     ++stats_.replayed_records;
@@ -532,8 +497,7 @@ Result<BootImage> WalStorage::Load() {
   while (gen > 0) {
     const std::vector<uint8_t> blob = disk_->ReadDurable(SnapFile(gen));
     if (!blob.empty()) {
-      Decoder dec(blob);
-      auto decoded = DecodeRaftSnapshot(dec);
+      auto decoded = Decode<raft::RaftSnapshot>(blob);
       if (decoded.ok()) {
         snap = std::make_shared<raft::RaftSnapshot>(std::move(*decoded));
         break;
@@ -559,8 +523,7 @@ Result<BootImage> WalStorage::Load() {
     }
     while (best > 0) {
       const std::vector<uint8_t> blob = disk_->ReadDurable(SnapFile(best));
-      Decoder dec(blob);
-      auto decoded = DecodeRaftSnapshot(dec);
+      auto decoded = Decode<raft::RaftSnapshot>(blob);
       if (!blob.empty() && decoded.ok()) {
         snap = std::make_shared<raft::RaftSnapshot>(std::move(*decoded));
         m.snap_gen = best;
@@ -592,50 +555,16 @@ Result<BootImage> WalStorage::Load() {
     int src = -1;
     if (std::sscanf(name.c_str(), "seal-%llu-%d", &tx, &src) != 2) continue;
     const std::vector<uint8_t> blob = disk_->ReadDurable(name);
-    Decoder dec(blob);
-    auto decoded = DecodeSmSnapshot(dec);
+    auto decoded = Decode<sm::Snapshot>(blob);
     if (!decoded.ok()) continue;  // corrupt seal: peers still hold copies
     img.sealed[{static_cast<TxId>(tx), src}] =
         std::make_shared<const sm::Snapshot>(std::move(*decoded));
   }
 
-  // Exchange runtime metadata.
+  // Exchange runtime metadata: a blob that does not parse is ignored whole.
   if (disk_->Exists(kExMetaFile)) {
-    const std::vector<uint8_t> blob = disk_->ReadDurable(kExMetaFile);
-    Decoder dec(blob);
-    auto has_plan = dec.GetBool();
-    if (has_plan.ok()) {
-      bool meta_ok = true;
-      if (*has_plan) {
-        auto plan = DecodeMergePlan(dec);
-        if (plan.ok()) {
-          img.exchange.pending_plan = std::move(*plan);
-        } else {
-          meta_ok = false;
-        }
-      }
-      auto ngc = dec.GetU32();
-      if (meta_ok && ngc.ok()) {
-        for (uint32_t i = 0; i < *ngc; ++i) {
-          ExchangeGcImage gc;
-          auto tx = dec.GetU64();
-          auto resumed = DecodeNodeVec(dec);
-          auto targets = DecodeNodeVec(dec);
-          auto done = DecodeNodeVec(dec);
-          auto self_done = dec.GetBool();
-          if (!tx.ok() || !resumed.ok() || !targets.ok() || !done.ok() ||
-              !self_done.ok()) {
-            break;
-          }
-          gc.tx = *tx;
-          gc.resumed = std::move(*resumed);
-          gc.targets = std::move(*targets);
-          gc.done = std::move(*done);
-          gc.self_done = *self_done;
-          img.exchange.gc.push_back(std::move(gc));
-        }
-      }
-    }
+    auto meta = Decode<ExchangeMeta>(disk_->ReadDurable(kExMetaFile));
+    if (meta.ok()) img.exchange = std::move(*meta);
   }
 
   // Adopt the recovered state as the live model so subsequent mutations

@@ -8,11 +8,13 @@
 //   "exmeta"          exchange runtime metadata, atomic
 //
 // WAL record framing: [u32 len][u32 crc32(payload)][payload], where the
-// payload starts with a one-byte record type. Replay walks the stream and
-// stops at the first truncated or CRC-failing record — a torn tail write is
-// detected and discarded, never replayed as garbage. Because group commit
-// preserves write order and a crash loses only a suffix of the unflushed
-// bytes, the surviving prefix is always a consistent history.
+// payload is a pinned one-byte record tag and the record's field list
+// (wal_storage.cpp). The checkpoint is the same records; the exmeta and
+// snapshot blobs are bare field lists (storage/codec.h). Replay walks the
+// stream and stops at the first truncated or CRC-failing record — a torn
+// tail write is detected and discarded, never replayed as garbage. Because
+// group commit preserves write order and a crash loses only a suffix of the
+// unflushed bytes, the surviving prefix is always a consistent history.
 //
 // Group commit: mutations append records to the disk's pending region and
 // arm a flush timer on the net::Clock (flush_interval); when it fires, one
@@ -135,16 +137,6 @@ class WalStorage final : public Storage {
   }
 
  private:
-  // Record types — part of the durable format; append-only.
-  enum RecordType : uint8_t {
-    kRecHardState = 1,
-    kRecAppend = 2,
-    kRecTruncateFrom = 3,
-    kRecReset = 4,
-    kRecCompactTo = 5,
-    kRecSnapInstalled = 6,
-  };
-
   // In-memory mirror of the durable logical state, maintained so the WAL
   // can be checkpoint-rewritten compactly and DurableIndex tracked.
   struct Model {
@@ -161,15 +153,9 @@ class WalStorage final : public Storage {
   static std::string SnapFile(uint32_t gen);
   static std::string SealFile(TxId tx, int source);
 
-  /// Starts a record at the end of `enc`: reserves the [len][crc] header
-  /// and writes the type byte; the caller encodes the body after it.
-  /// Returns the record's start offset for FinishRecord.
-  static size_t BeginRecord(Encoder& enc, RecordType type);
-  /// Patches len and crc of the record starting at `start` in place, so a
-  /// record is framed in the buffer it was encoded into — no second copy.
-  static void FinishRecord(Encoder& enc, size_t start);
-  /// Frames `record` (one BeginRecord'ed record at offset 0) and appends it.
-  void AppendRecord(Encoder& record, bool force_sync);
+  /// Appends one framed record (PutRecord in the .cpp), then flushes or
+  /// arms the group-commit timer.
+  void AppendRecord(const Encoder& record, bool force_sync);
   void ArmFlush();
   /// Flush-timer body: honors the disk's injected fsync stall (re-poll
   /// until it clears) and latency spike (defer this batch once), so gray

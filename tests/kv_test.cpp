@@ -10,6 +10,7 @@
 #include "common/rng.h"
 #include "kv/kv.h"
 #include "kv/service.h"
+#include "tests/codec_corpus.h"
 
 namespace recraft::kv {
 namespace {
@@ -101,6 +102,83 @@ TEST(KvSnapshot, RoundTripThroughBytes) {
 TEST(KvSnapshot, DeserializeRejectsGarbage) {
   std::vector<uint8_t> garbage{1, 2, 3};
   EXPECT_FALSE(Snapshot::Deserialize(garbage).ok());
+}
+
+// A count read from input is checked against the bytes left: a 17-byte
+// image claiming 2^64-1 entries is an error, not a huge reserve.
+TEST(KvSnapshot, HugeEntryCountIsRejected) {
+  Encoder enc;
+  enc.PutString("");  // range lo
+  enc.PutString("");  // range hi
+  enc.PutBool(true);  // hi is +inf
+  enc.PutU64(~0ull);  // entry count
+  ASSERT_EQ(enc.size(), 17u);
+  EXPECT_FALSE(Snapshot::Deserialize(enc.buffer()).ok());
+}
+
+// The KV command body, a scan batch and a snapshot image encode to the
+// bytes pinned in tests/codec_golden.inc and decode back to values that
+// re-encode to them.
+TEST(KvCodec, EveryImageMatchesGoldenBytes) {
+  const Command cmd = corpus::KvCommand();
+  const std::vector<uint8_t> cmd_golden = corpus::Golden("kv/command");
+  sm::Command wire = EncodeCommand(cmd);
+  EXPECT_EQ(corpus::Hex(wire.body), corpus::Hex(cmd_golden));
+  wire.body = cmd_golden;
+  auto cmd_back = DecodeCommand(wire);
+  ASSERT_TRUE(cmd_back.ok()) << cmd_back.status().ToString();
+  EXPECT_EQ(cmd_back->key, cmd.key);
+  EXPECT_EQ(corpus::Hex(EncodeCommand(*cmd_back).body),
+            corpus::Hex(cmd_golden));
+
+  const std::vector<uint8_t> batch_golden = corpus::Golden("kv/scan_batch");
+  const std::string batch = EncodeScanBatch(corpus::ScanBatch());
+  EXPECT_EQ(std::vector<uint8_t>(batch.begin(), batch.end()), batch_golden);
+  auto batch_back = DecodeScanBatch(batch);
+  ASSERT_TRUE(batch_back.ok());
+  EXPECT_EQ(*batch_back, corpus::ScanBatch());
+
+  const std::vector<uint8_t> snap_golden = corpus::Golden("kv/snapshot");
+  EXPECT_EQ(corpus::Hex(corpus::KvSnapshot().Serialize()),
+            corpus::Hex(snap_golden));
+  auto snap_back = Snapshot::Deserialize(snap_golden);
+  ASSERT_TRUE(snap_back.ok()) << snap_back.status().ToString();
+  EXPECT_EQ(corpus::Hex(snap_back->Serialize()), corpus::Hex(snap_golden));
+  EXPECT_EQ(snap_back->sessions.at(7).last_result.status.code(),
+            Code::kConflict);
+}
+
+// Every strict prefix of each golden KV image fails to decode, and every
+// single-byte flip decodes to a value or a Status, never an exception.
+TEST(KvCodec, CorruptedImagesNeverThrow) {
+  auto check = [](const std::string& name, auto decode) {
+    SCOPED_TRACE(name);
+    corpus::ForEachCorruption(
+        corpus::Golden(name),
+        [&](const std::vector<uint8_t>& bytes, bool prefix) {
+          bool ok = true;
+          EXPECT_NO_THROW(ok = decode(bytes));
+          if (prefix) {
+            EXPECT_FALSE(ok) << bytes.size() << "-byte prefix";
+          }
+        });
+  };
+  check("kv/command", [](const std::vector<uint8_t>& b) {
+    sm::Command c;
+    c.body = b;
+    return DecodeCommand(c).ok();
+  });
+  check("kv/scan_batch", [](const std::vector<uint8_t>& b) {
+    return DecodeScanBatch(std::string(b.begin(), b.end())).ok();
+  });
+  check("kv/snapshot", [](const std::vector<uint8_t>& b) {
+    return Snapshot::Deserialize(b).ok();
+  });
+}
+
+// A 4-byte scan batch claiming 2^32-1 entries is an error.
+TEST(KvCodec, HugeScanCountIsRejected) {
+  EXPECT_FALSE(DecodeScanBatch(std::string(4, '\xff')).ok());
 }
 
 TEST(KvSnapshot, SubRangeSnapshot) {

@@ -26,6 +26,7 @@
 #include "raft/entry_slab.h"
 #include "raft/messages.h"
 #include "storage/codec.h"
+#include "tests/codec_corpus.h"
 
 namespace recraft {
 namespace {
@@ -190,60 +191,82 @@ TEST(WireCodec, ReadIndexProbeAckRoundTrip) {
   EXPECT_TRUE(ad.ok);
 }
 
-TEST(WireCodec, EveryVariantRoundTrips) {
-  // One instance per variant — the decoder must consume exactly what the
-  // encoder produced for all 28 tags (default-constructed bodies where the
-  // fields don't matter; the per-variant tests above cover field fidelity).
-  std::vector<raft::MessagePtr> msgs;
-  msgs.push_back(raft::MakeMessage(raft::RequestVote{}));
-  msgs.push_back(raft::MakeMessage(raft::VoteReply{}));
-  msgs.push_back(raft::MakeMessage(raft::AppendEntries{}));
-  msgs.push_back(raft::MakeMessage(raft::AppendReply{}));
-  msgs.push_back(raft::MakeMessage(raft::InstallSnapshot{}));
-  msgs.push_back(raft::MakeMessage(raft::InstallSnapshotReply{}));
-  msgs.push_back(raft::MakeMessage(raft::CommitNotify{}));
-  msgs.push_back(raft::MakeMessage(raft::PullRequest{}));
-  msgs.push_back(raft::MakeMessage(raft::PullReply{}));
-  msgs.push_back(raft::MakeMessage(raft::MergePrepareReq{}));
-  msgs.push_back(raft::MakeMessage(raft::MergePrepareReply{}));
-  msgs.push_back(raft::MakeMessage(raft::MergeCommitReq{}));
-  msgs.push_back(raft::MakeMessage(raft::MergeCommitReply{}));
-  msgs.push_back(raft::MakeMessage(raft::MergeFinalize{}));
-  msgs.push_back(raft::MakeMessage(raft::ExchangeDone{}));
-  msgs.push_back(raft::MakeMessage(raft::SnapPullReq{}));
-  msgs.push_back(raft::MakeMessage(raft::SnapPullReply{}));
-  msgs.push_back(raft::MakeMessage(raft::ReadIndexProbe{}));
-  msgs.push_back(raft::MakeMessage(raft::ReadIndexAck{}));
-  msgs.push_back(raft::MakeMessage(raft::ClientRequest{}));
-  msgs.push_back(raft::MakeMessage(raft::ClientReply{}));
-  msgs.push_back(raft::MakeMessage(raft::RangeSnapReq{}));
-  msgs.push_back(raft::MakeMessage(raft::RangeSnapReply{}));
-  msgs.push_back(raft::MakeMessage(raft::BootstrapReq{}));
-  msgs.push_back(raft::MakeMessage(raft::BootstrapAck{}));
-  msgs.push_back(raft::MakeMessage(raft::NamingRegister{}));
-  msgs.push_back(raft::MakeMessage(raft::NamingLookupReq{}));
-  msgs.push_back(raft::MakeMessage(raft::NamingLookupReply{}));
+// Every message tag and every client-body tag, fully populated, encodes to
+// the bytes pinned in codec_golden.inc, and those bytes decode back to a
+// message that re-encodes to them.
+TEST(WireCodec, EveryVariantMatchesGoldenBytes) {
+  std::vector<raft::MessagePtr> msgs = corpus::Messages();
+  ASSERT_EQ(msgs.size(), 33u);  // 28 message tags + 5 more client bodies
   for (size_t i = 0; i < msgs.size(); ++i) {
-    SCOPED_TRACE("variant " + std::to_string(i));
-    auto out = RoundTrip(msgs[i]);
-    ASSERT_TRUE(out);
-    EXPECT_EQ(out->index(), msgs[i]->index());
+    char name[32];
+    std::snprintf(name, sizeof(name), "message/%02zu", i);
+    SCOPED_TRACE(name);
+    const std::vector<uint8_t> golden = corpus::Golden(name);
+    ASSERT_FALSE(golden.empty());
+    Encoder enc;
+    net::EncodeMessage(enc, *msgs[i]);
+    EXPECT_EQ(corpus::Hex(enc.buffer()), corpus::Hex(golden));
+
+    Decoder dec(golden);
+    auto back = net::DecodeMessage(dec);
+    ASSERT_TRUE(back.ok()) << back.status().ToString();
+    EXPECT_TRUE(dec.AtEnd());
+    EXPECT_EQ((*back)->index(), msgs[i]->index());
+    Encoder again;
+    net::EncodeMessage(again, **back);
+    EXPECT_EQ(corpus::Hex(again.buffer()), corpus::Hex(golden));
   }
 }
 
-TEST(WireCodec, TruncationNeverCrashes) {
-  raft::AppendEntries v;
-  v.et = 3;
-  v.leader = 1;
-  v.entries = MakeEntries(1, 3, 3);
-  Encoder enc;
-  net::EncodeMessage(enc, *raft::MakeMessage(std::move(v)));
-  const auto& full = enc.buffer();
-  for (size_t len = 0; len < full.size(); ++len) {
-    Decoder dec(full.data(), len);
-    auto out = net::DecodeMessage(dec);
-    EXPECT_FALSE(out.ok()) << "decoded from a " << len << "-byte prefix";
+// Every strict prefix of every golden message fails to decode, and every
+// single-byte flip decodes to a value or a Status — never an exception.
+TEST(WireCodec, CorruptedMessagesNeverThrow) {
+  for (size_t i = 0; i < corpus::Messages().size(); ++i) {
+    char name[32];
+    std::snprintf(name, sizeof(name), "message/%02zu", i);
+    SCOPED_TRACE(name);
+    corpus::ForEachCorruption(
+        corpus::Golden(name), [](const std::vector<uint8_t>& bytes,
+                                 bool prefix) {
+          Decoder dec(bytes);
+          Result<raft::MessagePtr> out = Internal("not decoded");
+          EXPECT_NO_THROW(out = net::DecodeMessage(dec));
+          if (prefix) {
+            EXPECT_FALSE(out.ok()) << "decoded a " << bytes.size()
+                                   << "-byte prefix";
+          }
+        });
   }
+}
+
+// A count field is checked against the bytes left before it sizes an
+// allocation: a 33-byte AppendEntries claiming 2^32-1 entries is an error.
+TEST(WireCodec, HugeEntryCountIsRejected) {
+  Encoder enc;
+  enc.PutU8(3);  // AppendEntries
+  enc.PutU64(1);
+  enc.PutU32(1);
+  enc.PutU64(0);
+  enc.PutU64(0);
+  enc.PutU32(0xffffffffu);  // entry count
+  ASSERT_EQ(enc.size(), 33u);
+  Decoder dec(enc.buffer());
+  auto out = net::DecodeMessage(dec);
+  EXPECT_FALSE(out.ok());
+}
+
+// The same for a member list: a 17-byte NamingRegister claiming 2^32-1
+// members.
+TEST(WireCodec, HugeMemberCountIsRejected) {
+  Encoder enc;
+  enc.PutU8(26);  // NamingRegister
+  enc.PutU64(1);
+  enc.PutU32(1);
+  enc.PutU32(0xffffffffu);  // member count
+  ASSERT_EQ(enc.size(), 17u);
+  Decoder dec(enc.buffer());
+  auto out = net::DecodeMessage(dec);
+  EXPECT_FALSE(out.ok());
 }
 
 // --- ReliableLink pure engine ---------------------------------------------

@@ -242,6 +242,37 @@ TEST(ShardPlane, NativeSplitAndMergeUpdateMap) {
 // ---------------------------------------------------------------------------
 // Chaos: continuous rebalancing under client load with fault injection.
 
+// Every recorded op reaches the per-shard `.ops` counters exactly once,
+// including ops recorded against shards a direct merge retired.
+TEST(ShardPlane, OpCountsSurviveDirectMerge) {
+  World w(TestWorldOptions(23));
+  auto ids = w.BootstrapShards(2, 3, {"k00001000"});
+  ASSERT_TRUE(ids.ok());
+  auto shards = w.shard_map().Shards();
+  shard::NativeRebalancer rb(w);
+  shard::PlacementDriver driver(w, w.shard_map(), rb);
+
+  for (int i = 0; i < 100; ++i) driver.RecordOp("k00000001");
+  for (int i = 0; i < 50; ++i) driver.RecordOp("k00009999");
+  ASSERT_TRUE(driver.MergeShards(shards[0].id, shards[1].id).ok());
+  for (int i = 0; i < 7; ++i) driver.RecordOp("k00000001");
+  driver.PublishMetrics();
+
+  auto ops_total = [&driver] {
+    uint64_t total = 0;
+    for (const auto& [name, value] : driver.metrics().Snap().counters) {
+      if (name.size() > 4 && name.compare(name.size() - 4, 4, ".ops") == 0) {
+        total += value;
+      }
+    }
+    return total;
+  };
+  EXPECT_EQ(ops_total(), 157u);
+  // A second publish adds nothing: each op is counted once.
+  driver.PublishMetrics();
+  EXPECT_EQ(ops_total(), 157u);
+}
+
 TEST(ShardPlane, RebalanceChaosUnderClientLoad) {
   auto opts = TestWorldOptions(25);
   opts.net.drop_probability = 0.01;

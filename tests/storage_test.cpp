@@ -16,6 +16,7 @@
 #include "storage/sim_disk.h"
 #include "storage/storage.h"
 #include "storage/wal_storage.h"
+#include "tests/codec_corpus.h"
 #include "tests/test_util.h"
 
 namespace recraft::storage {
@@ -131,10 +132,10 @@ TEST(StorageCodec, LogEntryPayloadsRoundTrip) {
 
   for (const auto& e : entries) {
     Encoder enc;
-    EncodeLogEntry(enc, e);
+    Encode(enc, e);
     std::vector<uint8_t> bytes = enc.Take();
     Decoder dec(bytes);
-    auto back = DecodeLogEntry(dec);
+    auto back = Decode<raft::LogEntry>(dec);
     ASSERT_TRUE(back.ok()) << e.Describe();
     EXPECT_TRUE(dec.AtEnd()) << e.Describe();
     EXPECT_EQ(back->index, e.index);
@@ -177,10 +178,10 @@ TEST(StorageCodec, RaftSnapshotRoundTrip) {
   snap.unsettled_aborts[42] = SamplePlan();
 
   Encoder enc;
-  EncodeRaftSnapshot(enc, snap);
+  Encode(enc, snap);
   std::vector<uint8_t> bytes = enc.Take();
   Decoder dec(bytes);
-  auto back = DecodeRaftSnapshot(dec);
+  auto back = Decode<raft::RaftSnapshot>(dec);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back->last_index, snap.last_index);
   EXPECT_EQ(back->last_term, snap.last_term);
@@ -245,6 +246,124 @@ TEST(StorageCodec, CrcMatchesBitwiseReferenceAtEveryAlignment) {
 
 // ---------------------------------------------------------------------------
 // SimDisk semantics.
+
+// Every payload tag and a fully populated consensus snapshot encode to the
+// bytes pinned in codec_golden.inc, and those bytes decode to values that
+// re-encode to them.
+TEST(StorageCodec, EveryPayloadMatchesGoldenBytes) {
+  std::vector<raft::LogEntry> entries = corpus::Entries();
+  ASSERT_EQ(entries.size(), std::variant_size_v<raft::Payload>);
+  for (size_t i = 0; i < entries.size(); ++i) {
+    char name[32];
+    std::snprintf(name, sizeof(name), "entry/%02zu", i);
+    SCOPED_TRACE(name);
+    const std::vector<uint8_t> golden = corpus::Golden(name);
+    ASSERT_FALSE(golden.empty());
+    EXPECT_EQ(corpus::Hex(Encode(entries[i])), corpus::Hex(golden));
+    auto back = Decode<raft::LogEntry>(golden);
+    ASSERT_TRUE(back.ok()) << back.status().ToString();
+    EXPECT_EQ(back->payload.index(), i);
+    EXPECT_EQ(corpus::Hex(Encode(*back)), corpus::Hex(golden));
+  }
+  const std::vector<uint8_t> golden = corpus::Golden("raft_snapshot");
+  EXPECT_EQ(corpus::Hex(Encode(corpus::RaftSnap())), corpus::Hex(golden));
+  auto back = Decode<raft::RaftSnapshot>(golden);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(corpus::Hex(Encode(*back)), corpus::Hex(golden));
+}
+
+// Every strict prefix of every golden durable blob fails to decode, and
+// every single-byte flip decodes to a value or a Status, never an exception.
+TEST(StorageCodec, CorruptedBlobsNeverThrow) {
+  auto check = [](const std::string& name, auto decode) {
+    SCOPED_TRACE(name);
+    const std::vector<uint8_t> golden = corpus::Golden(name);
+    ASSERT_FALSE(golden.empty());
+    corpus::ForEachCorruption(
+        golden, [&](const std::vector<uint8_t>& bytes, bool prefix) {
+          bool ok = true;
+          EXPECT_NO_THROW(ok = decode(bytes));
+          if (prefix) {
+            EXPECT_FALSE(ok) << bytes.size() << "-byte prefix";
+          }
+        });
+  };
+  for (size_t i = 0; i < std::variant_size_v<raft::Payload>; ++i) {
+    char name[32];
+    std::snprintf(name, sizeof(name), "entry/%02zu", i);
+    check(name, [](const std::vector<uint8_t>& b) {
+      return Decode<raft::LogEntry>(b).ok();
+    });
+  }
+  check("raft_snapshot", [](const std::vector<uint8_t>& b) {
+    return Decode<raft::RaftSnapshot>(b).ok();
+  });
+  check("wal/seal-7-1", [](const std::vector<uint8_t>& b) {
+    return Decode<sm::Snapshot>(b).ok();
+  });
+  check("exmeta", [](const std::vector<uint8_t>& b) {
+    return Decode<ExchangeMeta>(b).ok();
+  });
+}
+
+// One record of every WAL type, the snapshot and seal blobs and the
+// exchange metadata write the bytes pinned in codec_golden.inc, and a WAL
+// that boots from those bytes alone recovers the state they describe.
+TEST(WalStorage, EveryRecordMatchesGoldenBytes) {
+  const char* kFiles[][2] = {{"wal", "wal/records"},
+                             {"snap-1", "wal/snap-1"},
+                             {"seal-7-1", "wal/seal-7-1"},
+                             {"exmeta", "exmeta"}};
+  auto disk = std::make_shared<SimDisk>();
+  {
+    WalStorage wal(disk, nullptr);
+    corpus::WriteEveryRecord(wal);
+    wal.PersistSealed(7, 1, corpus::SmSnapshot());
+    wal.PersistExchangeMeta(corpus::ExchangeMeta());
+  }
+  for (const auto& [file, name] : kFiles) {
+    EXPECT_EQ(corpus::Hex(disk->ReadDurable(file)),
+              corpus::Hex(corpus::Golden(name)))
+        << file;
+  }
+
+  auto golden_disk = std::make_shared<SimDisk>();
+  for (const auto& [file, name] : kFiles) {
+    golden_disk->WriteAtomic(file, corpus::Golden(name));
+  }
+  WalStorage wal(golden_disk, nullptr);
+  auto img = wal.Load();
+  ASSERT_TRUE(img.ok()) << img.status().ToString();
+  EXPECT_FALSE(wal.stats().tore_tail);
+  EXPECT_EQ(wal.stats().replayed_records, 26u);
+  EXPECT_EQ(img->hard, (HardState{0x0000000500000001ull, 3, 13}));
+  EXPECT_EQ(img->base_index, 4u);
+  ASSERT_NE(img->snap, nullptr);
+  EXPECT_EQ(corpus::Hex(Encode(*img->snap)),
+            corpus::Hex(corpus::Golden("wal/snap-1")));
+  const std::vector<raft::LogEntry> want = corpus::Entries(5);
+  ASSERT_EQ(img->entries.size(), want.size());
+  size_t i = 0;
+  for (const raft::LogEntry& e : img->entries) {
+    EXPECT_EQ(corpus::Hex(Encode(e)), corpus::Hex(Encode(want[i++])));
+  }
+  ASSERT_EQ(img->sealed.count({7, 1}), 1u);
+  EXPECT_EQ(corpus::Hex(Encode(*img->sealed.at({7, 1}))),
+            corpus::Hex(corpus::Golden("wal/seal-7-1")));
+  EXPECT_EQ(corpus::Hex(Encode(img->exchange)),
+            corpus::Hex(corpus::Golden("exmeta")));
+}
+
+TEST(WalStorage, CheckpointMatchesGoldenBytes) {
+  auto disk = std::make_shared<SimDisk>();
+  WalStorage::Options opts;
+  opts.rewrite_slack_bytes = 1;
+  WalStorage wal(disk, nullptr, opts);
+  corpus::WriteCheckpoint(wal);
+  ASSERT_EQ(wal.stats().wal_rewrites, 1u);
+  EXPECT_EQ(corpus::Hex(disk->ReadDurable("wal")),
+            corpus::Hex(corpus::Golden("wal/checkpoint")));
+}
 
 TEST(SimDisk, PendingBytesDieWithACrash) {
   SimDisk disk;
