@@ -244,9 +244,6 @@ TEST(StorageCodec, CrcMatchesBitwiseReferenceAtEveryAlignment) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// SimDisk semantics.
-
 // Every payload tag and a fully populated consensus snapshot encode to the
 // bytes pinned in codec_golden.inc, and those bytes decode to values that
 // re-encode to them.
@@ -306,64 +303,8 @@ TEST(StorageCodec, CorruptedBlobsNeverThrow) {
   });
 }
 
-// One record of every WAL type, the snapshot and seal blobs and the
-// exchange metadata write the bytes pinned in codec_golden.inc, and a WAL
-// that boots from those bytes alone recovers the state they describe.
-TEST(WalStorage, EveryRecordMatchesGoldenBytes) {
-  const char* kFiles[][2] = {{"wal", "wal/records"},
-                             {"snap-1", "wal/snap-1"},
-                             {"seal-7-1", "wal/seal-7-1"},
-                             {"exmeta", "exmeta"}};
-  auto disk = std::make_shared<SimDisk>();
-  {
-    WalStorage wal(disk, nullptr);
-    corpus::WriteEveryRecord(wal);
-    wal.PersistSealed(7, 1, corpus::SmSnapshot());
-    wal.PersistExchangeMeta(corpus::ExchangeMeta());
-  }
-  for (const auto& [file, name] : kFiles) {
-    EXPECT_EQ(corpus::Hex(disk->ReadDurable(file)),
-              corpus::Hex(corpus::Golden(name)))
-        << file;
-  }
-
-  auto golden_disk = std::make_shared<SimDisk>();
-  for (const auto& [file, name] : kFiles) {
-    golden_disk->WriteAtomic(file, corpus::Golden(name));
-  }
-  WalStorage wal(golden_disk, nullptr);
-  auto img = wal.Load();
-  ASSERT_TRUE(img.ok()) << img.status().ToString();
-  EXPECT_FALSE(wal.stats().tore_tail);
-  EXPECT_EQ(wal.stats().replayed_records, 26u);
-  EXPECT_EQ(img->hard, (HardState{0x0000000500000001ull, 3, 13}));
-  EXPECT_EQ(img->base_index, 4u);
-  ASSERT_NE(img->snap, nullptr);
-  EXPECT_EQ(corpus::Hex(Encode(*img->snap)),
-            corpus::Hex(corpus::Golden("wal/snap-1")));
-  const std::vector<raft::LogEntry> want = corpus::Entries(5);
-  ASSERT_EQ(img->entries.size(), want.size());
-  size_t i = 0;
-  for (const raft::LogEntry& e : img->entries) {
-    EXPECT_EQ(corpus::Hex(Encode(e)), corpus::Hex(Encode(want[i++])));
-  }
-  ASSERT_EQ(img->sealed.count({7, 1}), 1u);
-  EXPECT_EQ(corpus::Hex(Encode(*img->sealed.at({7, 1}))),
-            corpus::Hex(corpus::Golden("wal/seal-7-1")));
-  EXPECT_EQ(corpus::Hex(Encode(img->exchange)),
-            corpus::Hex(corpus::Golden("exmeta")));
-}
-
-TEST(WalStorage, CheckpointMatchesGoldenBytes) {
-  auto disk = std::make_shared<SimDisk>();
-  WalStorage::Options opts;
-  opts.rewrite_slack_bytes = 1;
-  WalStorage wal(disk, nullptr, opts);
-  corpus::WriteCheckpoint(wal);
-  ASSERT_EQ(wal.stats().wal_rewrites, 1u);
-  EXPECT_EQ(corpus::Hex(disk->ReadDurable("wal")),
-            corpus::Hex(corpus::Golden("wal/checkpoint")));
-}
+// ---------------------------------------------------------------------------
+// SimDisk semantics.
 
 TEST(SimDisk, PendingBytesDieWithACrash) {
   SimDisk disk;
@@ -492,6 +433,65 @@ TEST(WalStorage, RecordFramingIsPinned) {
             "4b000700000000000000010000000000000001000000"
             "76000000000000000000000000"
             "1b000000");            // wire hint
+}
+
+// One record of every WAL type, the snapshot and seal blobs and the
+// exchange metadata write the bytes pinned in codec_golden.inc, and a WAL
+// that boots from those bytes alone recovers the state they describe.
+TEST(WalStorage, EveryRecordMatchesGoldenBytes) {
+  const char* kFiles[][2] = {{"wal", "wal/records"},
+                             {"snap-1", "wal/snap-1"},
+                             {"seal-7-1", "wal/seal-7-1"},
+                             {"exmeta", "exmeta"}};
+  auto disk = std::make_shared<SimDisk>();
+  {
+    WalStorage wal(disk, nullptr);
+    corpus::WriteEveryRecord(wal);
+    wal.PersistSealed(7, 1, corpus::SmSnapshot());
+    wal.PersistExchangeMeta(corpus::ExchangeMeta());
+  }
+  for (const auto& [file, name] : kFiles) {
+    EXPECT_EQ(corpus::Hex(disk->ReadDurable(file)),
+              corpus::Hex(corpus::Golden(name)))
+        << file;
+  }
+
+  auto golden_disk = std::make_shared<SimDisk>();
+  for (const auto& [file, name] : kFiles) {
+    golden_disk->WriteAtomic(file, corpus::Golden(name));
+  }
+  WalStorage wal(golden_disk, nullptr);
+  auto img = wal.Load();
+  ASSERT_TRUE(img.ok()) << img.status().ToString();
+  EXPECT_FALSE(wal.stats().tore_tail);
+  EXPECT_EQ(wal.stats().replayed_records, 26u);
+  EXPECT_EQ(img->hard, (HardState{0x0000000500000001ull, 3, 13}));
+  EXPECT_EQ(img->base_index, 4u);
+  ASSERT_NE(img->snap, nullptr);
+  EXPECT_EQ(corpus::Hex(Encode(*img->snap)),
+            corpus::Hex(corpus::Golden("wal/snap-1")));
+  const std::vector<raft::LogEntry> want = corpus::Entries(5);
+  ASSERT_EQ(img->entries.size(), want.size());
+  size_t i = 0;
+  for (const raft::LogEntry& e : img->entries) {
+    EXPECT_EQ(corpus::Hex(Encode(e)), corpus::Hex(Encode(want[i++])));
+  }
+  ASSERT_EQ(img->sealed.count({7, 1}), 1u);
+  EXPECT_EQ(corpus::Hex(Encode(*img->sealed.at({7, 1}))),
+            corpus::Hex(corpus::Golden("wal/seal-7-1")));
+  EXPECT_EQ(corpus::Hex(Encode(img->exchange)),
+            corpus::Hex(corpus::Golden("exmeta")));
+}
+
+TEST(WalStorage, CheckpointMatchesGoldenBytes) {
+  auto disk = std::make_shared<SimDisk>();
+  WalStorage::Options opts;
+  opts.rewrite_slack_bytes = 1;
+  WalStorage wal(disk, nullptr, opts);
+  corpus::WriteCheckpoint(wal);
+  ASSERT_EQ(wal.stats().wal_rewrites, 1u);
+  EXPECT_EQ(corpus::Hex(disk->ReadDurable("wal")),
+            corpus::Hex(corpus::Golden("wal/checkpoint")));
 }
 
 TEST_P(WalOverDisk, SnapshotInstallAndCompactionSurviveRecovery) {
